@@ -16,13 +16,12 @@
 #   make verify         vet + race + fuzz smoke + conformance + docs check + serve check + loadtest smoke + delta smoke + milp check (CI gate)
 #   make bench-solver   the sequential-vs-parallel solver benchmark pair
 #   make bench-warmstart warm vs cold pivot/wall numbers for EXPERIMENTS.md
-#   make bench-cuts     tree reductions on vs off: node/pivot numbers for EXPERIMENTS.md
 #   make bench-kernel   LP-kernel benchmarks with -benchmem + the zero-alloc gate
 #   make bench-scaling  dense-vs-sparse scaling curve chip9 → chip256 (BENCH_scaling.txt)
 
 GO ?= go
 
-.PHONY: build test test-short vet race race-solver fuzz-smoke conformance docs-check serve-check loadtest-smoke loadtest milp-check bench-delta-smoke bench-delta verify bench-solver bench bench-warmstart bench-cuts bench-kernel bench-scaling
+.PHONY: build test test-short vet race race-solver fuzz-smoke conformance docs-check serve-check loadtest-smoke loadtest milp-check bench-delta-smoke bench-delta verify bench-solver bench bench-warmstart bench-kernel bench-scaling
 
 build:
 	$(GO) build ./...
@@ -62,9 +61,9 @@ fuzz-smoke:
 # The randomized synthesis conformance property at full width: every one
 # of the 200 generator seeds must either be rejected with a typed
 # *core.SynthesisError or synthesize into a DRC-clean design. The
-# TestSynthesisConformance prefix also pulls in the warm/cold and
-# cuts×presolve agreement matrices (solver ablations must never change
-# a verdict).
+# TestSynthesisConformance prefix also pulls in the warm/cold, presolve
+# and kernel agreement matrices (solver ablations must never change a
+# verdict).
 conformance:
 	$(GO) test -run 'TestSynthesisConformance|TestNetlistRoundTrip|TestConformanceMostlySynthesizable' -count=1 .
 
@@ -164,12 +163,6 @@ bench-solver:
 # source of the numbers quoted in EXPERIMENTS.md.
 bench-warmstart:
 	$(GO) test -run '^$$' -bench BenchmarkWarmstart -benchtime 3x -count=1 .
-
-# Search-tree reductions (presolve + root cuts + pseudocost branching)
-# on vs off on the reference cases; the source of the node/pivot/wall
-# numbers quoted in EXPERIMENTS.md.
-bench-cuts:
-	$(GO) test -run '^$$' -bench BenchmarkCutsPresolve -benchtime 3x -count=1 .
 
 # The LP-kernel gate: the steady-state warm path must stay at exactly
 # 0 allocs/op (TestSolveFromSteadyStateAllocs fails otherwise), then the

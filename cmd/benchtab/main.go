@@ -56,11 +56,10 @@ func run() error {
 		jsonPath = flag.String("json", "", "also write the columbas-bench/v1 JSON report (per-phase breakdown) to this file")
 		workers  = flag.Int("workers", 0, "branch-and-bound workers per Columba S solve (0/1: sequential, -1: all cores)")
 		noWarm   = flag.Bool("no-warmstart", false, "solve every branch-and-bound LP cold instead of warm-starting from the parent basis (ablation)")
-		noCuts   = flag.Bool("no-cuts", false, "disable root cutting planes (Gomory + cover) in the layout MILPs (ablation)")
 		noPre    = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta  = flag.Bool("no-delta", false, "disable the delta-aware warm-start pipeline: ignore any donor hint, solve cold (ablation)")
 		branch   = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
-		kernel   = flag.String("kernel", "auto", "LP basis engine: auto (size/density heuristic), dense or sparse")
+		kernel   = flag.String("kernel", "auto", "LP basis engine: auto or sparse (sparse LU), dense (explicit-inverse reference engine)")
 		pprofCPU = flag.String("pprof-cpu", "", "write a CPU profile of the whole run to this file")
 		pprofMem = flag.String("pprof-mem", "", "write a heap profile at exit to this file")
 	)
@@ -91,7 +90,6 @@ func run() error {
 	cfg.SkipBaseline = *noBase
 	cfg.Workers = *workers
 	cfg.NoWarmStart = *noWarm
-	cfg.NoCuts = *noCuts
 	cfg.NoPresolve = *noPre
 	cfg.NoDelta = *noDelta
 	var err error

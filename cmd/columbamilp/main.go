@@ -84,7 +84,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("columbamilp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		kernel    = fs.String("kernel", "auto", "LP basis engine: auto (size/density heuristic), dense or sparse")
+		kernel    = fs.String("kernel", "auto", "LP basis engine: auto or sparse (sparse LU), dense (explicit-inverse reference engine)")
 		branching = fs.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
 		noCuts    = fs.Bool("no-cuts", false, "disable root cutting planes (Gomory + cover)")
 		noPre     = fs.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening)")

@@ -49,11 +49,10 @@ func run() error {
 		effort    = flag.String("effort", "auto", "placement effort: full, guided, seed or auto")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel branch-and-bound workers for layout generation (1: sequential, -1: all cores)")
 		noWarm    = flag.Bool("no-warmstart", false, "solve every branch-and-bound LP cold instead of warm-starting from the parent basis (ablation)")
-		noCuts    = flag.Bool("no-cuts", false, "disable root cutting planes (Gomory + cover) in the layout MILPs (ablation)")
 		noPre     = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta   = flag.Bool("no-delta", false, "ignore any delta warm-start donor and solve cold (ablation)")
 		branching = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
-		kernel    = flag.String("kernel", "auto", "LP basis engine: auto (size/density heuristic), dense or sparse")
+		kernel    = flag.String("kernel", "auto", "LP basis engine: auto or sparse (sparse LU), dense (explicit-inverse reference engine)")
 		noDRC     = flag.Bool("nodrc", false, "skip the design-rule check")
 		stats     = flag.Bool("stats", false, "print the per-phase statistics table (docs/metrics.md) to stderr")
 		traceJSON = flag.String("trace-json", "", "write the phase trace as JSON (schema columbas-trace/v1) to this file")
@@ -74,7 +73,6 @@ func run() error {
 		Workers:     *workers,
 		NoDRC:       *noDRC,
 		NoWarmStart: *noWarm,
-		NoCuts:      *noCuts,
 		NoPresolve:  *noPre,
 		NoDelta:     *noDelta,
 		Branching:   *branching,

@@ -60,11 +60,10 @@ func run() error {
 		maxBody  = flag.Int64("max-body", 1<<20, "max netlist source size in bytes")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget for in-flight solves")
 		traceLog = flag.String("trace-log", "", "append one columbas-trace/v1 JSON line per request to this file")
-		noCuts   = flag.Bool("no-cuts", false, "disable root cutting planes (Gomory + cover) in the layout MILPs (ablation)")
 		noPre    = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta  = flag.Bool("no-delta", false, "disable the delta-aware warm-start pipeline: no similarity-index donors, every solve cold (ablation)")
 		branch   = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
-		kernel   = flag.String("kernel", "auto", "LP basis engine: auto (size/density heuristic), dense or sparse")
+		kernel   = flag.String("kernel", "auto", "LP basis engine: auto or sparse (sparse LU), dense (explicit-inverse reference engine)")
 	)
 	flag.Parse()
 
@@ -96,7 +95,6 @@ func run() error {
 		DefaultTimeout: *timeout,
 		MaxLayoutTime:  *maxTime,
 		MaxBodyBytes:   *maxBody,
-		NoCuts:         *noCuts,
 		NoPresolve:     *noPre,
 		NoDelta:        *noDelta,
 		Branching:      rule,

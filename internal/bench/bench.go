@@ -34,9 +34,6 @@ type Config struct {
 	// warm-starting from the parent basis (the before side of
 	// make bench-warmstart).
 	NoWarmStart bool
-	// NoCuts disables root cutting planes in the layout MILPs (the
-	// before side of make bench-cuts).
-	NoCuts bool
 	// NoPresolve disables MILP presolve (bound tightening, redundant
 	// rows, coefficient strengthening).
 	NoPresolve bool
@@ -47,7 +44,8 @@ type Config struct {
 	// the zero value is pseudocost branching.
 	Branching milp.BranchRule
 	// Kernel selects the LP basis engine for the Columba S layout solves
-	// (layout.Options.Kernel): auto (zero value), dense or sparse.
+	// (layout.Options.Kernel): auto (zero value) and sparse run the LU
+	// engine, dense the explicit-inverse reference engine.
 	Kernel lp.Kernel
 }
 
@@ -103,7 +101,6 @@ func RunS(c cases.Case, muxes int, cfg Config) (*SRun, error) {
 	opt.Layout.TimeLimit = cfg.STime
 	opt.Layout.Workers = cfg.Workers
 	opt.Layout.NoWarmStart = cfg.NoWarmStart
-	opt.Layout.NoCuts = cfg.NoCuts
 	opt.Layout.NoPresolve = cfg.NoPresolve
 	opt.NoDelta = cfg.NoDelta
 	opt.Layout.Branching = cfg.Branching

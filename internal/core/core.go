@@ -258,7 +258,6 @@ func recordLayout(sp *obs.Span, plan *layout.Plan) {
 	sp.SetInt("milp_incumbent_updates", se.IncumbentUpdates)
 	sp.SetInt("milp_rounding_attempts", se.RoundingAttempts)
 	sp.SetInt("milp_rounding_hits", se.RoundingHits)
-	sp.SetInt("milp_basis_refreshes", se.BasisRefreshes)
 	sp.SetInt("milp_nodes_presolved", se.NodesPresolved)
 	sp.SetInt("milp_bounds_tightened", se.BoundsTightened)
 	sp.SetInt("milp_rows_removed", se.RowsRemoved)

@@ -43,10 +43,9 @@ type OptionSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// NoDRC skips the design-rule check.
 	NoDRC bool `json:"nodrc,omitempty"`
-	// NoWarmStart, NoCuts and NoPresolve are the solver ablation
-	// switches (see layout.Options).
+	// NoWarmStart and NoPresolve are the solver ablation switches (see
+	// layout.Options).
 	NoWarmStart bool `json:"no_warmstart,omitempty"`
-	NoCuts      bool `json:"no_cuts,omitempty"`
 	NoPresolve  bool `json:"no_presolve,omitempty"`
 	// NoDelta disables the delta-aware warm-start path for this request:
 	// no similarity-index donor is consulted and any supplied hint is
@@ -114,9 +113,6 @@ func (sp OptionSpec) Apply(base Options) (Options, error) {
 	}
 	if sp.NoWarmStart {
 		opt.Layout.NoWarmStart = true
-	}
-	if sp.NoCuts {
-		opt.Layout.NoCuts = true
 	}
 	if sp.NoPresolve {
 		opt.Layout.NoPresolve = true

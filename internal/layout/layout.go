@@ -225,10 +225,6 @@ type Options struct {
 	// seed solver's behaviour, used by make bench-warmstart as the
 	// "before" side).
 	NoWarmStart bool `json:"no_warmstart,omitempty"`
-	// NoCuts disables root-node cut separation in every MILP round
-	// (milp.Options.NoCuts): no Gomory or cover cuts strengthen the root
-	// relaxation (ablation: measures the value of cutting planes).
-	NoCuts bool `json:"no_cuts,omitempty"`
 	// NoPresolve disables the MILP presolve (milp.Options.NoPresolve):
 	// no root or node bound tightening, redundant-row removal, or
 	// coefficient strengthening (ablation: measures presolve's value).
@@ -238,9 +234,9 @@ type Options struct {
 	// with reliability initialization.
 	Branching milp.BranchRule `json:"branching"`
 	// Kernel selects the LP basis engine for every MILP relaxation
-	// (milp.Options.Kernel): the zero value picks dense or sparse per
-	// problem from the size/density heuristic; the columbas CLI exposes
-	// it as -kernel={auto,dense,sparse}.
+	// (milp.Options.Kernel): the zero value runs the sparse LU engine,
+	// KernelDense the explicit-inverse reference engine; the columbas CLI
+	// exposes it as -kernel={auto,dense,sparse}.
 	Kernel lp.Kernel `json:"kernel"`
 	// Workers is the number of parallel branch-and-bound workers handed
 	// to the MILP solver (milp.Options.Workers): 0 or 1 runs the exact
@@ -413,6 +409,11 @@ func GenerateContext(ctx context.Context, pr *planar.Result, opt Options) (*Plan
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	// Generation honours the deadline by the wall clock, which can pass
+	// it a moment before the context's own timer fires.
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return nil, context.DeadlineExceeded
 	}
 	return p, nil
 }

@@ -1,10 +1,15 @@
 package layout
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"columbas/internal/module"
+	"columbas/internal/netlist"
+	"columbas/internal/planar"
 )
 
 // Two independent components in a 2-MUX design should stack into two
@@ -257,5 +262,31 @@ func TestKappaReducesChannelLength(t *testing.T) {
 	high := plan(t, chainSrc, oHigh)
 	if high.FlowLength() > low.FlowLength()+1 {
 		t.Errorf("kappa=2 flow %v exceeds kappa≈0 flow %v", high.FlowLength(), low.FlowLength())
+	}
+}
+
+// lateCtx is a context whose deadline has passed while its timer has
+// not fired yet: Err is still nil. A real context is in this state for
+// a moment after its deadline.
+type lateCtx struct{ context.Context }
+
+func (lateCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// GenerateContext must report a passed deadline as an error even when
+// the context's timer has not fired yet: generation itself watches the
+// wall clock and falls back to the seed, which must not pass for a
+// result inside the deadline.
+func TestGenerateContextPassedDeadline(t *testing.T) {
+	n, err := netlist.ParseString(chainSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := planar.Planarize(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = GenerateContext(lateCtx{context.Background()}, pr, fastOpts())
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }

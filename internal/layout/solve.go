@@ -171,6 +171,10 @@ func (b *builder) solve(opt Options) (*Plan, error) {
 			remaining = time.Second
 		}
 		roundSp := opt.Obs.Child(fmt.Sprintf("milp round %d", rounds))
+		// Root cuts stay off on the layout path: on the Table 1 designs
+		// they never changed area, L_f or #c_in, while their cold cut-loop
+		// re-solves took most of the synthesis time (EXPERIMENTS.md,
+		// "Layout solver path").
 		res, err := b.model.Solve(milp.Options{
 			TimeLimit:   remaining,
 			Deadline:    opt.Deadline,
@@ -181,7 +185,7 @@ func (b *builder) solve(opt Options) (*Plan, error) {
 			RootBasis:   rootBasis,
 			Workers:     opt.Workers,
 			NoWarmStart: opt.NoWarmStart,
-			NoCuts:      opt.NoCuts,
+			NoCuts:      true,
 			NoPresolve:  opt.NoPresolve,
 			Branching:   opt.Branching,
 			Kernel:      opt.Kernel,

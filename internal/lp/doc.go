@@ -9,10 +9,12 @@
 // (possibly infinite) and ≤ / ≥ / = row constraints, including the big-M
 // disjunctions of constraints (3)–(11).
 //
-// The implementation is a textbook revised simplex with an explicitly
-// maintained basis inverse, bound-flip ratio tests, Dantzig pricing with a
-// Bland's-rule fallback for anti-cycling, and a phase-1 artificial-variable
-// start. It is dense and intended for the model sizes Columba S produces
+// The implementation is a textbook revised simplex with bound-flip ratio
+// tests, Dantzig pricing with a Bland's-rule fallback for anti-cycling,
+// and a phase-1 artificial-variable start. The basis is held as sparse LU
+// factors with product-form updates; an explicitly maintained dense
+// inverse (KernelDense) remains as the reference engine of the drift and
+// agreement tests. It is intended for the model sizes Columba S produces
 // (tens of rectangles, hundreds to a few thousand rows), not for
 // general-purpose large-scale LP.
 //

@@ -39,12 +39,14 @@ func checkInverseExact(t *testing.T, p *Problem, seed int64, step int) {
 // updated inverse must still agree with (a) the basis matrix it claims to
 // invert after every solve, (b) a from-scratch Gauss-Jordan
 // refactorization at the end of the chain, and (c) the objectives of a
-// reference run that refactorizes after every single pivot.
+// reference run that refactorizes after every single pivot. The checks
+// read the explicit inverse, so the chain runs on KernelDense.
 func TestEtaUpdatesMatchRefactorization(t *testing.T) {
 	const steps = 60
 	runChain := func(seed int64, check bool) []float64 {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomLP(rng)
+		p.SetKernel(KernelDense)
 		var objs []float64
 		sol, err := p.SolveFrom(nil)
 		if err != nil {

@@ -3,21 +3,22 @@ package lp
 import "fmt"
 
 // Kernel selects the basis-factorization engine behind a Problem's
-// solves. The dense kernel keeps an explicit row-major B⁻¹ and updates
-// it in place per pivot — unbeatable on small models where the m×m
-// matrix fits in cache. The sparse kernel factorizes the basis into
-// sparse LU factors (Markowitz-style pivoting, product-form updates)
-// and answers FTRAN/BTRAN solves against the factors, turning the
-// per-iteration cost from O(m²) into O(nnz) — the path that unlocks
-// chip256-class placement models. See DESIGN.md, "Sparse kernel".
+// solves. The sparse kernel factorizes the basis into sparse LU factors
+// (Markowitz-style pivoting, product-form updates) and answers
+// FTRAN/BTRAN solves against the factors, so the per-iteration cost is
+// O(nnz) rather than O(m²); it is the production engine. The dense
+// kernel keeps an explicit row-major B⁻¹ and updates it in place per
+// pivot; it remains only as the reference engine of the drift and
+// agreement tests. See DESIGN.md, "Sparse kernel".
 type Kernel int
 
 // Kernel modes.
 const (
-	// KernelAuto picks per solve: sparse once the model clears the
-	// size/density thresholds below, dense otherwise.
+	// KernelAuto is the zero value and means the sparse LU engine.
 	KernelAuto Kernel = iota
+	// KernelDense forces the explicit-inverse reference engine.
 	KernelDense
+	// KernelSparse forces the sparse LU engine.
 	KernelSparse
 )
 
@@ -47,38 +48,10 @@ func ParseKernel(s string) (Kernel, error) {
 	return KernelAuto, fmt.Errorf("unknown kernel %q (want auto, dense or sparse)", s)
 }
 
-// Auto-dispatch thresholds: the sparse path wins once the dense kernel's
-// O(m²) per-iteration sweeps dominate, which on this code base happens
-// comfortably above the chip9/chip64 row counts (m ≤ 430); below that
-// the flat dense inverse is faster and keeps byte-identical behaviour
-// with earlier releases. The density guard keeps near-dense constraint
-// matrices — where LU fill would approach m² anyway — on the dense path.
-const (
-	sparseAutoRows    = 500
-	sparseAutoDensity = 0.05
-)
-
 // SetKernel selects the factorization engine for this problem's solves.
-// Clones inherit the setting. The zero value KernelAuto dispatches on
-// model size and density per solve.
+// Clones inherit the setting. The zero value KernelAuto runs the sparse
+// LU engine.
 func (p *Problem) SetKernel(k Kernel) { p.kernel = k }
 
 // KernelMode returns the problem's configured kernel selection mode.
 func (p *Problem) KernelMode() Kernel { return p.kernel }
-
-// wantSparse decides the engine for the next solve given the prepared
-// workspace dimensions.
-func (p *Problem) wantSparse(ws *Workspace) bool {
-	switch p.kernel {
-	case KernelDense:
-		return false
-	case KernelSparse:
-		return true
-	}
-	m := ws.m
-	if m < sparseAutoRows {
-		return false
-	}
-	nnz := len(ws.terms) - 2*m // structural nonzeros (slacks/artificials excluded)
-	return float64(nnz) <= sparseAutoDensity*float64(m)*float64(m)
-}

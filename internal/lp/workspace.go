@@ -19,9 +19,9 @@ package lp
 // are rebuilt from scratch (RefactorizationCount, split out as
 // SparseRefactorizationCount on the LU engine), and every warm result
 // is still verified against the original rows before it is trusted.
-// Which engine a solve runs is the Problem's Kernel mode resolved by
-// wantSparse (kernel.go); a sparse factorization that blows the fill
-// threshold flips the workspace to the dense engine for good
+// Every solve runs the sparse engine unless the Problem's Kernel mode
+// is KernelDense (kernel.go). A sparse factorization that blows the
+// fill threshold flips the workspace to the dense engine for good
 // (DenseFallbackCount).
 
 // defaultRefactorEvery is the number of product-form (eta) updates the
@@ -165,7 +165,7 @@ func (ws *Workspace) prepare(p *Problem) {
 		ws.rebuildCols(p)
 	}
 	m, n := ws.m, ws.n
-	ws.sparse = p.wantSparse(ws)
+	ws.sparse = p.kernel != KernelDense
 	if ws.sparse {
 		ws.lu.ensure(m)
 		ws.rho = growF(ws.rho, m)

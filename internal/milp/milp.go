@@ -322,8 +322,8 @@ type Options struct {
 	// back to plain binary branching (ablation).
 	NoGroupBranching bool
 	// NoCuts disables root-node cut separation — the Gomory and knapsack
-	// cover cuts added to the root relaxation before workers start
-	// (ablation; also the seed solver's behaviour).
+	// cover cuts added to the root relaxation before workers start. The
+	// layout MILPs always set it; columbamilp exposes it as -no-cuts.
 	NoCuts bool
 	// NoPresolve disables the search's presolve — root bound tightening,
 	// redundant-row removal and coefficient strengthening, plus the
@@ -341,10 +341,10 @@ type Options struct {
 	// since it needs the root basis's reduced costs.
 	NoWarmStart bool
 	// Kernel selects the LP basis engine every relaxation runs on:
-	// KernelAuto (the zero value) picks dense or sparse per problem from
-	// the size/density heuristic, KernelDense forces the explicit-inverse
-	// engine, KernelSparse forces the LU-factorized one. Applied to every
-	// worker clone, so the whole search runs on one engine choice.
+	// KernelAuto (the zero value) and KernelSparse run the LU-factorized
+	// engine, KernelDense the explicit-inverse reference engine. Applied
+	// to every worker clone, so the whole search runs on one engine
+	// choice.
 	Kernel lp.Kernel
 	// Workers is the number of branch-and-bound workers solving LP
 	// relaxations concurrently. Each worker explores nodes from the

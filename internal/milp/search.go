@@ -102,7 +102,6 @@ type search struct {
 	cutoffPost    int64        // under mu: dominated post-LP, authoritative check
 	incUpdates    int64        // under mu: installed incumbents
 	roundAttempts atomic.Int64 // rounding-heuristic LP re-solves
-	basisRefresh  atomic.Int64 // full-tableau re-solves to mint a missing basis
 	roundHits     int64        // under mu: rounding incumbents installed
 	inflightHW    int          // under mu: max concurrent expansions
 	rootFixed     int64        // under mu: reduced-cost bound fixings at the root
@@ -551,10 +550,13 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 	}
 	// Warm-start the relaxation from the parent's optimal basis: the
 	// child differs from the parent by one bound change, so a short dual
-	// repair replaces the full two-phase solve. Nodes without a basis
-	// (the root, or children of a node whose basis was lost) go through
-	// the presolving Solve — cheaper when the model reduces well and the
-	// tree never branches, as the guided large-scale layouts do.
+	// repair replaces the full two-phase solve. A node without a basis
+	// (the root, or a child of a node whose basis was lost) in a model
+	// with integer variables is solved cold on the full tableau, so its
+	// children get a basis to warm-start from. A model without integer
+	// variables never branches and goes through the presolving Solve,
+	// which is cheaper when the model reduces well, as the zero-binary
+	// large-scale layouts do.
 	var sol *lp.Solution
 	var err error
 	// The worker's spare Solution from the previous expansion is recycled
@@ -564,7 +566,7 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 	reuse := s.spare[id]
 	s.spare[id] = nil
 	defer func() { s.spare[id] = sol }()
-	if s.opt.NoWarmStart || n.basis == nil {
+	if s.opt.NoWarmStart || (n.basis == nil && s.m.NumInt() == 0) {
 		sol, err = prob.Solve()
 	} else {
 		sol, err = prob.SolveFromReuse(n.basis, reuse)
@@ -625,23 +627,6 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 	if math.IsInf(s.loadInc(), 1) && idx%16 == 1 {
 		s.roundAttempts.Add(1)
 		roundX, roundObj, haveRound = s.m.tryRoundingOn(prob, sol.X)
-	}
-
-	if !s.opt.NoWarmStart && sol.Basis() == nil {
-		if bv, bg := s.m.pickBranch(sol.X); bv >= 0 || bg >= 0 {
-			// The node will branch, so its children need a basis to
-			// warm-start from, and the presolved solution carries none:
-			// re-solve once on the full tableau. This extra solve is the
-			// BasisRefreshes term of the node conservation identity; it
-			// never fires when the relaxation is already integral (the
-			// no-branch guided large-scale runs keep their presolve win).
-			sol2, err2 := prob.SolveFrom(nil)
-			s.basisRefresh.Add(1)
-			if err2 == nil && sol2.Status == lp.Optimal && sol2.Basis() != nil {
-				sol = sol2
-				obj = sol.Obj + s.m.objC
-			}
-		}
 	}
 
 	branchVar, branchGroup := s.m.pickBranch(sol.X)
@@ -779,7 +764,6 @@ func (s *search) statsSnapshot() SearchStats {
 		IncumbentUpdates:  s.incUpdates,
 		RoundingAttempts:  s.roundAttempts.Load(),
 		RoundingHits:      s.roundHits,
-		BasisRefreshes:    s.basisRefresh.Load(),
 		RootBoundsFixed:   s.rootFixed,
 		PerWorker:         s.wstats,
 

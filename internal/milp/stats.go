@@ -25,11 +25,10 @@ type SearchStats struct {
 	// expanded concurrently — ≤ Workers; below it, the frontier starved.
 	InFlightHighWater int
 	// LPSolves counts LP relaxation solves across all workers, including
-	// rounding-heuristic re-solves, basis refreshes and the root cut
-	// loop's separation solves: LPSolves = NodesExplored +
-	// RoundingAttempts + BasisRefreshes + CutRounds (the conservation
-	// identity TestSearchStatsConservation pins for both sequential and
-	// parallel runs).
+	// rounding-heuristic re-solves and the root cut loop's separation
+	// solves: LPSolves = NodesExplored + RoundingAttempts + CutRounds (the
+	// conservation identity TestSearchStatsConservation pins for both
+	// sequential and parallel runs).
 	LPSolves int64
 	// SimplexPivots is the total simplex iterations (phase 1 + 2) behind
 	// LPSolves — the solver's innermost unit of work.
@@ -99,13 +98,6 @@ type SearchStats struct {
 	// heuristic's re-solves and how many produced an improving incumbent.
 	RoundingAttempts int64
 	RoundingHits     int64
-	// BasisRefreshes counts full-tableau re-solves of a node whose
-	// relaxation was answered by the presolver (which carries no basis)
-	// but which is about to branch — the children need a basis to
-	// warm-start from. Together with nodes, rounding and the root cut
-	// loop these account for every LP solve: LPSolves = NodesExplored +
-	// RoundingAttempts + BasisRefreshes + CutRounds.
-	BasisRefreshes int64
 	// NodesPresolved counts nodes discarded by node presolve: their local
 	// bounds were proven infeasible by activity propagation before any
 	// simplex work was spent. Such nodes never reach the LP, so they are
@@ -243,7 +235,6 @@ func (st *SearchStats) Merge(other SearchStats) {
 	st.IncumbentUpdates += other.IncumbentUpdates
 	st.RoundingAttempts += other.RoundingAttempts
 	st.RoundingHits += other.RoundingHits
-	st.BasisRefreshes += other.BasisRefreshes
 	st.NodesPresolved += other.NodesPresolved
 	st.BoundsTightened += other.BoundsTightened
 	st.RowsRemoved += other.RowsRemoved

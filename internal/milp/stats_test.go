@@ -11,10 +11,9 @@ import (
 // must satisfy regardless of worker count or scheduling:
 //
 //   - LP-solve conservation: LPSolves = NodesExplored + RoundingAttempts +
-//     BasisRefreshes + CutRounds (each expanded node costs exactly one
-//     relaxation solve; the only other solves are rounding-heuristic
-//     re-solves, pre-branch basis refreshes, and the root cut loop's
-//     separation rounds) — see docs/metrics.md;
+//     CutRounds (each expanded node costs exactly one relaxation solve;
+//     the only other solves are rounding-heuristic re-solves and the root
+//     cut loop's separation rounds) — see docs/metrics.md;
 //   - branching conservation: Branchings = GroupBranches +
 //     PseudocostBranches + ReliabilityFallbacks (every branch decision is
 //     exactly one of the three);
@@ -26,8 +25,8 @@ func checkStatsConsistent(t *testing.T, st SearchStats, workers int) {
 	if st.Workers != workers {
 		t.Errorf("Workers = %d, want %d", st.Workers, workers)
 	}
-	if got, want := st.LPSolves, st.NodesExplored+st.RoundingAttempts+st.BasisRefreshes+st.CutRounds; got != want {
-		t.Errorf("LP-solve conservation violated: LPSolves=%d, NodesExplored+RoundingAttempts+BasisRefreshes+CutRounds=%d", got, want)
+	if got, want := st.LPSolves, st.NodesExplored+st.RoundingAttempts+st.CutRounds; got != want {
+		t.Errorf("LP-solve conservation violated: LPSolves=%d, NodesExplored+RoundingAttempts+CutRounds=%d", got, want)
 	}
 	if got, want := st.Branchings, st.GroupBranches+st.PseudocostBranches+st.ReliabilityFallbacks; got != want {
 		t.Errorf("branching conservation violated: Branchings=%d, GroupBranches+PseudocostBranches+ReliabilityFallbacks=%d", got, want)

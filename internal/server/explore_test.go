@@ -67,7 +67,7 @@ func TestDesignFPDistance(t *testing.T) {
 
 	// Model-shaping option mismatch: incompatible, reported as -1.
 	copt := opt
-	copt.Layout.NoCuts = true
+	copt.Layout.NoPresolve = true
 	if d := base.distance(newDesignFP(mustParse(t, tinySrc), copt)); d != -1 {
 		t.Fatalf("optHash-mismatch distance = %d, want -1", d)
 	}

@@ -589,6 +589,9 @@ func (s *Server) solve(ctx context.Context, j *job, n *netlist.Netlist) (*core.R
 	}
 	s.mu.Unlock()
 	defer s.active.Add(-1)
+	if s.testHold != nil {
+		s.testHold(ctx)
+	}
 
 	j.setRunning()
 	tr := obs.New(n.Name)

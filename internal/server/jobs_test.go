@@ -120,8 +120,10 @@ func readSSE(t *testing.T, body io.Reader) []JobEvent {
 	return evs
 }
 
-// slowJobReq is a chip64 full-effort solve: long enough to still be
-// running when a cancel, drain or competing request lands.
+// slowJobReq is a chip64 2-MUX full-effort solve. Its branch and bound
+// does not settle before the MILP budget, so the job runs for its whole
+// 30 s budget and is still running when a cancel, drain or competing
+// request lands, however fast the solver is.
 func slowJobReq(t *testing.T) map[string]any {
 	t.Helper()
 	c, err := cases.Get("chip64")
@@ -131,7 +133,7 @@ func slowJobReq(t *testing.T) map[string]any {
 	return map[string]any{
 		"schema":  JobRequestSchema,
 		"netlist": c.Source,
-		"options": map[string]any{"effort": "full", "time": "30s", "timeout": "30s"},
+		"options": map[string]any{"muxes": 2, "effort": "full", "time": "30s", "timeout": "30s"},
 	}
 }
 
@@ -593,6 +595,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"v2 bad option", "POST", "/v2/jobs", "application/json",
 			`{"netlist":"design d\nunit m1 mixer\nconnect in:a m1\nconnect m1 out:w\n","options":{"effort":"extreme"}}`,
 			http.StatusBadRequest, CodeInvalidOption},
+		{"v2 removed option no_cuts", "POST", "/v2/jobs", "application/json",
+			`{"netlist":"design d\nunit m1 mixer\nconnect in:a m1\nconnect m1 out:w\n","options":{"no_cuts":true}}`,
+			http.StatusBadRequest, CodeBadRequest},
 		{"v2 unknown job", "GET", "/v2/jobs/doesnotexist", "", "",
 			http.StatusNotFound, CodeJobNotFound},
 		{"v2 unknown job result", "GET", "/v2/jobs/doesnotexist/result", "", "",

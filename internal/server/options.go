@@ -69,7 +69,6 @@ func specFromQuery(q url.Values) (core.OptionSpec, error) {
 func (s *Server) resolveOptions(sp core.OptionSpec) (core.Options, time.Duration, error) {
 	base := core.DefaultOptions()
 	base.Layout.Workers = s.cfg.Workers
-	base.Layout.NoCuts = s.cfg.NoCuts
 	base.Layout.NoPresolve = s.cfg.NoPresolve
 	base.Layout.Branching = s.cfg.Branching
 	base.Layout.Kernel = s.cfg.Kernel

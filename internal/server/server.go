@@ -61,9 +61,6 @@ type Config struct {
 	// included: their trace is the single "cache" span). Writes are
 	// serialized by the server.
 	TraceSink io.Writer
-	// NoCuts disables root cutting planes in every layout MILP served
-	// by this process (ablation deployments).
-	NoCuts bool
 	// NoPresolve disables MILP presolve (bound tightening, redundant
 	// rows, coefficient strengthening).
 	NoPresolve bool
@@ -75,8 +72,8 @@ type Config struct {
 	// the zero value is pseudocost branching.
 	Branching milp.BranchRule
 	// Kernel selects the LP basis engine for every layout MILP served by
-	// this process (layout.Options.Kernel): auto (zero value), dense or
-	// sparse.
+	// this process (layout.Options.Kernel): auto (zero value) and sparse
+	// run the LU engine, dense the explicit-inverse reference engine.
 	Kernel lp.Kernel
 }
 
@@ -136,6 +133,12 @@ type Server struct {
 	incFromHint   atomic.Int64
 
 	traceMu sync.Mutex
+
+	// testHold, when set before the server starts serving, runs each
+	// job right after it takes its pool slot and before the pipeline
+	// starts: a test seam for holding the slot independent of solve
+	// speed.
+	testHold func(ctx context.Context)
 }
 
 // New builds a Server, filling config defaults.

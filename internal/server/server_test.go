@@ -296,18 +296,19 @@ func TestConcurrentFanIn(t *testing.T) {
 	_ = s
 }
 
-// TestDeadlineCancelsMidSolve gives chip9 a full-effort, prove-optimal
-// solve with a deadline far below its runtime: the reply must be 504
-// and the pool must be empty again promptly — i.e. the branch-and-bound
-// workers actually stopped instead of running out their 30 s budget.
+// TestDeadlineCancelsMidSolve gives chip64 a 2-MUX full-effort solve,
+// whose branch and bound runs until its 30 s MILP budget, with a
+// deadline far below that: the reply must be 504 and the pool must be
+// empty again promptly — i.e. the branch-and-bound workers actually
+// stopped instead of running out their budget.
 func TestDeadlineCancelsMidSolve(t *testing.T) {
-	c, err := cases.Get("chip9")
+	c, err := cases.Get("chip64")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{Jobs: 1})
 	start := time.Now()
-	resp, body := post(t, ts.URL+"/v1/synthesize?timeout=40ms&effort=full&time=30s", c.Source)
+	resp, body := post(t, ts.URL+"/v1/synthesize?timeout=40ms&muxes=2&effort=full&time=30s", c.Source)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (after %v): %s", resp.StatusCode, time.Since(start), body)
 	}
@@ -330,37 +331,48 @@ func TestDeadlineCancelsMidSolve(t *testing.T) {
 }
 
 // TestQueuedRequestHonorsDeadline: a request stuck behind a full pool
-// times out in the queue with 504.
+// times out in the queue with 504. The only slot is held through the
+// testHold seam rather than by a netlist assumed to solve slowly, so
+// the outcome does not depend on solver speed.
 func TestQueuedRequestHonorsDeadline(t *testing.T) {
-	// chip64 keeps the branch-and-bound busy for well over the queued
-	// request's window; chip9 no longer does since the kernel got fast
-	// enough to finish in tens of milliseconds.
-	c, err := cases.Get("chip64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Jobs: 1})
-	// Occupy the only slot with a slow solve.
+	s := New(Config{Jobs: 1})
+	held := make(chan struct{})
 	release := make(chan struct{})
+	var heldOnce, releaseOnce sync.Once
+	s.testHold = func(ctx context.Context) {
+		heldOnce.Do(func() { close(held) })
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	releaseHold := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseHold)
+
+	// Occupy the only slot with a held job.
+	done := make(chan struct{})
 	go func() {
-		defer close(release)
-		post(t, ts.URL+"/v1/synthesize?timeout=3s&effort=full&time=30s", c.Source)
+		defer close(done)
+		resp, err := http.Post(ts.URL+"/v1/synthesize?timeout=30s", "text/plain", strings.NewReader(tinyEditedSrc))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
 	}()
-	// Wait for the slow solve to actually take the slot.
-	for i := 0; ; i++ {
-		if st := getStats(t, ts.URL); st.Pool.Active == 1 {
-			break
-		}
-		if i > 200 {
-			t.Fatal("slow solve never took the pool slot")
-		}
-		time.Sleep(10 * time.Millisecond)
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("held job never took the pool slot")
 	}
 	resp, body := post(t, ts.URL+"/v1/synthesize?timeout=100ms", tinySrc)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("queued status %d: %s", resp.StatusCode, body)
 	}
-	<-release
+	releaseHold()
+	<-done
 }
 
 // TestHealthzAndDrain covers the operational endpoints and graceful
