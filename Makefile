@@ -17,11 +17,10 @@
 #   make bench-solver   the sequential-vs-parallel solver benchmark pair
 #   make bench-warmstart warm vs cold pivot/wall numbers for EXPERIMENTS.md
 #   make bench-kernel   LP-kernel benchmarks with -benchmem + the zero-alloc gate
-#   make bench-scaling  dense-vs-sparse scaling curve chip9 → chip256 (BENCH_scaling.txt)
 
 GO ?= go
 
-.PHONY: build test test-short vet race race-solver fuzz-smoke conformance docs-check serve-check loadtest-smoke loadtest milp-check bench-delta-smoke bench-delta verify bench-solver bench bench-warmstart bench-kernel bench-scaling
+.PHONY: build test test-short vet race race-solver fuzz-smoke conformance docs-check serve-check loadtest-smoke loadtest milp-check bench-delta-smoke bench-delta verify bench-solver bench bench-warmstart bench-kernel
 
 build:
 	$(GO) build ./...
@@ -170,14 +169,6 @@ bench-warmstart:
 bench-kernel:
 	$(GO) test -run 'TestSolveFromSteadyStateAllocs' -count=1 ./internal/lp/
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveFrom' -benchmem -count=1 ./internal/lp/
-
-# The dense-vs-sparse scaling curve (EXPERIMENTS.md "Kernel scaling"):
-# one full synthesis per ChIP size and LP basis engine, chip9 → chip256
-# plus a generated chip128-class netlist, reporting wall time, pivots,
-# fill-in, peak basis nonzeros and dense fallbacks. The raw go test
-# output is the BENCH artifact (BENCH_scaling.txt).
-bench-scaling:
-	$(GO) test -run '^$$' -bench BenchmarkScalingKernel -benchtime 1x -count=1 -timeout 60m . | tee BENCH_scaling.txt
 
 bench:
 	$(GO) test -bench . -benchmem .

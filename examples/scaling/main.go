@@ -1,7 +1,8 @@
 // Scaling sweeps the synthetic ChIP application family over increasing
-// sizes, demonstrating the paper's headline claim: Columba S synthesizes
-// designs with hundreds of functional units in minutes, with control
-// inlets growing logarithmically (2*ceil(log2 n)+1 per multiplexer).
+// sizes, from 17 to 2049 units, demonstrating the paper's headline
+// claim: Columba S synthesizes designs with hundreds of functional units
+// in minutes (here: thousands in seconds), with control inlets growing
+// logarithmically (2*ceil(log2 n)+1 per multiplexer).
 //
 // Run with:
 //
@@ -21,7 +22,7 @@ func main() {
 	fmt.Printf("%6s %6s %8s %14s %10s %8s %10s\n",
 		"nIP", "#u", "groups", "dim (mm)", "L_f (mm)", "#c_in", "runtime")
 	configs := []struct{ nIP, groups int }{
-		{8, 2}, {16, 4}, {32, 4}, {64, 8}, {128, 16},
+		{8, 2}, {16, 4}, {32, 4}, {64, 8}, {128, 16}, {256, 32}, {512, 64}, {1024, 128},
 	}
 	for _, cfg := range configs {
 		c, err := cases.ChIPScale(cfg.nIP, cfg.groups)

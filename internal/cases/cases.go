@@ -265,9 +265,9 @@ func ChIP128() Case {
 // ChIP256 is the scaling-curve extension beyond Table 1: 513 units in 32
 // parallel groups. Its layout model is roughly double chip128's (the LP
 // dimension grows with the group count, since each group's lanes merge
-// into one block rectangle); it is the largest point of the sparse-kernel
-// scaling curve (make bench-scaling) and the reason the kernel factorizes
-// rather than inverts.
+// into one block rectangle). It is the base point of the scale-curve
+// test (TestScaleCurve, on through chip1024) and of perfbench's scale
+// workload.
 func ChIP256() Case {
 	c, err := ChIPScale(256, 32)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"columbas/internal/geom"
 	"columbas/internal/layout"
 	"columbas/internal/module"
+	"columbas/internal/mux"
 	"columbas/internal/netlist"
 	"columbas/internal/planar"
 	"columbas/internal/validate"
@@ -259,5 +260,49 @@ func TestDetectsPumpPitchViolation(t *testing.T) {
 	rep := Check(d)
 	if !hasRule(rep, RulePumpPitch) {
 		t.Fatal("pump pitch violation not detected")
+	}
+}
+
+// A MUX whose valves no longer match its addressing must fail the
+// isolation rule: a lost valve lets a neighbouring address open a second
+// channel, and a valve moved to the other level's line blocks the very
+// channel its address selects.
+func TestDetectsMuxIsolationFailure(t *testing.T) {
+	sabotage := map[string]func(mx *mux.Mux){
+		"lost valve": func(mx *mux.Mux) {
+			// Channel 0's bit-0 valve: address 1 differs from it only
+			// there, so it opens channel 0 as well.
+			for vi, v := range mx.Valves {
+				if v.Channel == 0 && mx.Lines[v.Line].Bit == 0 {
+					mx.Valves = append(mx.Valves[:vi], mx.Valves[vi+1:]...)
+					return
+				}
+			}
+			t.Fatal("channel 0 has no bit-0 valve")
+		},
+		"valve on the other line": func(mx *mux.Mux) {
+			v := &mx.Valves[0]
+			ln := mx.Lines[v.Line]
+			for li, other := range mx.Lines {
+				if other.Bit == ln.Bit && other.Level != ln.Level {
+					v.Line, v.At.Y = li, other.Y
+					return
+				}
+			}
+			t.Fatal("no line of the other level")
+		},
+	}
+	for name, breakMux := range sabotage {
+		d := design(t, chainSrc)
+		if hasRule(Check(d), RuleMuxIsolation) {
+			t.Fatalf("%s: mux-isolation reported before the sabotage", name)
+		}
+		if d.MuxBottom == nil || d.MuxBottom.N < 2 {
+			t.Fatalf("%s: need a bottom MUX of at least 2 channels", name)
+		}
+		breakMux(d.MuxBottom)
+		if !hasRule(Check(d), RuleMuxIsolation) {
+			t.Errorf("%s: isolation failure not detected", name)
+		}
 	}
 }

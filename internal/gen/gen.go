@@ -65,8 +65,8 @@ func Generate(seed int64) *netlist.Netlist { return Default().Generate(seed) }
 // one collector switch, with parallel groups of at most groupSize lanes.
 // Scale(128, 8) and Scale(256, 8) produce chip128- and chip256-class
 // netlists (the layout model keeps one block rectangle per group, so the
-// LP dimension grows with lanes/groupSize); they feed the sparse-kernel
-// scaling benchmarks (make bench-scaling).
+// LP dimension grows with lanes/groupSize); Scale(256, 8) feeds
+// perfbench's scale workload.
 func Scale(lanes, groupSize int) Config {
 	return Config{
 		MinLanes:       lanes,

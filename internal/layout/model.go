@@ -66,6 +66,10 @@ type builder struct {
 	deltaFixed   map[[2]int]bool
 	deltaBoxes   []geom.Rect
 	deltaApplied int
+
+	// impliedRelations counts the guided relations the last buildMILP
+	// left out as implied by the others (addSeedRelations).
+	impliedRelations int
 }
 
 // pairDisj is one non-overlap disjunction between rects i and j. qs holds
@@ -577,6 +581,7 @@ func (b *builder) buildMILP(guided bool, active [][2]int) {
 	b.model = m
 	b.pairs = nil
 	b.deltaApplied = 0
+	b.impliedRelations = 0
 	b.ctrlQ = map[int][2]milp.VarID{}
 	n := len(b.rects)
 	b.xl = make([]milp.VarID, n)
@@ -597,26 +602,17 @@ func (b *builder) buildMILP(guided bool, active [][2]int) {
 		b.xr[i] = m.Var(r.Name+".xr", 0, ub)
 		b.yb[i] = m.Var(r.Name+".yb", 0, ub)
 		b.yt[i] = m.Var(r.Name+".yt", 0, ub)
-		// Constraint (1): fixed extents.
+		// Constraint (1): fixed extents, or the minimum of a free one.
+		minW, minH := minExtent(r)
 		if r.W > 0 {
 			m.AddEQ(milp.T(b.xr[i], 1).Add(b.xl[i], -1), r.W/mmScale)
 		} else {
-			// Free width: flow channels keep a 2d minimum run so every
-			// merged channel remains physically realisable.
-			minW := 0.0
-			if r.Kind == RFlow {
-				minW = 2 * module.D / mmScale
-			}
-			m.AddGE(milp.T(b.xr[i], 1).Add(b.xl[i], -1), minW)
+			m.AddGE(milp.T(b.xr[i], 1).Add(b.xl[i], -1), minW/mmScale)
 		}
 		if r.H > 0 {
 			m.AddEQ(milp.T(b.yt[i], 1).Add(b.yb[i], -1), r.H/mmScale)
 		} else {
-			minH := 0.0
-			if r.Kind == RSwitch {
-				minH = 2 * module.D * float64(r.SwitchNode.Junctions+1) / mmScale
-			}
-			m.AddGE(milp.T(b.yt[i], 1).Add(b.yb[i], -1), minH)
+			m.AddGE(milp.T(b.yt[i], 1).Add(b.yb[i], -1), minH/mmScale)
 		}
 	}
 	b.xmax = m.Var("xmax", 0, ub)
@@ -635,6 +631,27 @@ func (b *builder) buildMILP(guided bool, active [][2]int) {
 	b.addNonOverlap(guided, active)
 	b.addBoundCuts()
 	b.setObjective()
+}
+
+// minExtent returns the smallest width and height (µm) the model lets
+// rect r take: its fixed extent where set; otherwise a flow rect keeps a
+// 2d run so every merged channel remains physically realisable, a switch
+// stacks its junctions at 2d pitch, and a control rect's height is free.
+func minExtent(r *PRect) (w, h float64) {
+	w, h = r.W, r.H
+	if w <= 0 {
+		w = 0
+		if r.Kind == RFlow {
+			w = 2 * module.D
+		}
+	}
+	if h <= 0 {
+		h = 0
+		if r.Kind == RSwitch {
+			h = 2 * module.D * float64(r.SwitchNode.Junctions+1)
+		}
+	}
+	return w, h
 }
 
 // pairMargins returns the extra vertical edge clearances two rects must
@@ -696,16 +713,6 @@ func (b *builder) overlappingPairs(skip map[[2]int]bool) [][2]int {
 func (b *builder) addBoundCuts() {
 	m := b.model
 	n := len(b.rects)
-	minW := func(i int) float64 {
-		r := b.rects[i]
-		if r.W > 0 {
-			return r.W
-		}
-		if r.Kind == RFlow {
-			return 2 * module.D
-		}
-		return 0
-	}
 	// Longest chain of x-ordered rects: xmax >= sum of widths.
 	memo := make([]float64, n)
 	done := make([]bool, n)
@@ -723,7 +730,8 @@ func (b *builder) addBoundCuts() {
 				}
 			}
 		}
-		memo[i] = best + minW(i)
+		w, _ := minExtent(b.rects[i])
+		memo[i] = best + w
 		return memo[i]
 	}
 	longest := 0.0
@@ -888,96 +896,217 @@ func (b *builder) needDisjunction(i, j int) bool {
 // pairs. In guided mode, relations are fixed from the seed geometry
 // instead (the seed must already be placed).
 func (b *builder) addNonOverlap(guided bool, active [][2]int) {
+	if guided {
+		b.addSeedRelations(active)
+		return
+	}
 	m := b.model
 	M := b.bigM
 	for _, p := range active {
 		i, j := p[0], p[1]
-		{
-			ri, rj := b.rects[i], b.rects[j]
-			// Both control rects forced to the bottom boundary can only
-			// separate horizontally.
-			xOnly := b.pr.Muxes == 1 && ri.Kind == RCtrl && rj.Kind == RCtrl
-
-			if guided {
-				b.fixRelation(i, j)
-				continue
-			}
-			// Delta warm start: both rects carry donor geometry, so the
-			// donor's relative order stands in for the disjunction — the
-			// binaries collapse and the pair costs one LE row. Pairs the
-			// donor boxes cannot order cleanly (or that may only separate
-			// horizontally when the donor shows a vertical split) keep the
-			// full disjunction.
-			if b.deltaFixed[p] && b.fixRelationFrom(b.deltaBoxes, i, j, xOnly) {
+		ri, rj := b.rects[i], b.rects[j]
+		// Both control rects forced to the bottom boundary can only
+		// separate horizontally.
+		xOnly := b.pr.Muxes == 1 && ri.Kind == RCtrl && rj.Kind == RCtrl
+		// Delta warm start: both rects carry donor geometry, so the
+		// donor's relative order stands in for the disjunction — the
+		// binaries collapse and the pair costs one LE row. Pairs the
+		// donor boxes cannot order cleanly (or that may only separate
+		// horizontally when the donor shows a vertical split) keep the
+		// full disjunction.
+		if b.deltaFixed[p] {
+			if rel, ok := b.relationFrom(b.deltaBoxes, i, j, xOnly); ok {
+				b.addRelation(rel)
 				b.deltaApplied++
 				continue
 			}
-			mbij, mbji := b.pairMargins(i, j)
-			q1 := m.Binary(fmt.Sprintf("q.%s|%s.l", ri.Name, rj.Name))
-			q2 := m.Binary(fmt.Sprintf("q.%s|%s.r", ri.Name, rj.Name))
-			// (3): horizontal options.
-			m.AddLE(milp.T(b.xr[i], 1).Add(b.xl[j], -1).Add(q1, -M), 0)
-			m.AddLE(milp.T(b.xr[j], 1).Add(b.xl[i], -1).Add(q2, -M), 0)
-			qs := []milp.VarID{q1, q2}
-			if !xOnly {
-				q3 := m.Binary(fmt.Sprintf("q.%s|%s.b", ri.Name, rj.Name))
-				q4 := m.Binary(fmt.Sprintf("q.%s|%s.a", ri.Name, rj.Name))
-				// (4): vertical options, with the port-pitch margins where
-				// the pair shares a flow boundary.
-				m.AddLE(milp.T(b.yt[i], 1).Add(b.yb[j], -1).Add(q3, -M), -mbij/mmScale)
-				m.AddLE(milp.T(b.yt[j], 1).Add(b.yb[i], -1).Add(q4, -M), -mbji/mmScale)
-				qs = append(qs, q3, q4)
-			}
-			// (5): exactly one option active.
-			m.MarkDisjunction(qs)
-			b.pairs = append(b.pairs, pairDisj{i: i, j: j, qs: qs, xOnly: xOnly, mBelow: mbij, mAbove: mbji})
 		}
+		mbij, mbji := b.pairMargins(i, j)
+		q1 := m.Binary(fmt.Sprintf("q.%s|%s.l", ri.Name, rj.Name))
+		q2 := m.Binary(fmt.Sprintf("q.%s|%s.r", ri.Name, rj.Name))
+		// (3): horizontal options.
+		m.AddLE(milp.T(b.xr[i], 1).Add(b.xl[j], -1).Add(q1, -M), 0)
+		m.AddLE(milp.T(b.xr[j], 1).Add(b.xl[i], -1).Add(q2, -M), 0)
+		qs := []milp.VarID{q1, q2}
+		if !xOnly {
+			q3 := m.Binary(fmt.Sprintf("q.%s|%s.b", ri.Name, rj.Name))
+			q4 := m.Binary(fmt.Sprintf("q.%s|%s.a", ri.Name, rj.Name))
+			// (4): vertical options, with the port-pitch margins where
+			// the pair shares a flow boundary.
+			m.AddLE(milp.T(b.yt[i], 1).Add(b.yb[j], -1).Add(q3, -M), -mbij/mmScale)
+			m.AddLE(milp.T(b.yt[j], 1).Add(b.yb[i], -1).Add(q4, -M), -mbji/mmScale)
+			qs = append(qs, q3, q4)
+		}
+		// (5): exactly one option active.
+		m.MarkDisjunction(qs)
+		b.pairs = append(b.pairs, pairDisj{i: i, j: j, qs: qs, xOnly: xOnly, mBelow: mbij, mAbove: mbji})
 	}
 }
 
-// fixRelation hard-codes the seed's relative position of rects i, j
-// (EffortGuided). Must run after snapshotSeed. The seed is overlap-free
-// by construction, so one of the four relations always applies.
-func (b *builder) fixRelation(i, j int) {
-	m := b.model
-	mbij, mbji := b.pairMargins(i, j)
-	bi, bj := b.seedBoxes[i], b.seedBoxes[j]
-	switch {
-	case bi.XR <= bj.XL+1: // i west of j
-		m.AddLE(milp.T(b.xr[i], 1).Add(b.xl[j], -1), 0)
-	case bj.XR <= bi.XL+1:
-		m.AddLE(milp.T(b.xr[j], 1).Add(b.xl[i], -1), 0)
-	case bi.YT <= bj.YB+1:
-		m.AddLE(milp.T(b.yt[i], 1).Add(b.yb[j], -1), -mbij/mmScale)
-	default:
-		m.AddLE(milp.T(b.yt[j], 1).Add(b.yb[i], -1), -mbji/mmScale)
-	}
+// orderRelation is one fixed relative position of two rects on one
+// axis: rect hi starts at least gap µm past the end of rect lo — east of
+// it on x (xl[hi] ≥ xr[lo] + gap), above it on y (yb[hi] ≥ yt[lo] + gap).
+type orderRelation struct {
+	y      bool
+	lo, hi int
+	gap    float64
 }
 
-// fixRelationFrom emits the relative order of rects i, j implied by the
-// given (donor) geometry as a single LE row, reporting whether a clean
-// relation applied. Unlike fixRelation it refuses to guess: boxes the
-// geometry leaves overlapping, or a vertical split for a pair that may
-// only separate horizontally (xOnly), return false and the caller keeps
-// the full disjunction.
-func (b *builder) fixRelationFrom(boxes []geom.Rect, i, j int, xOnly bool) bool {
-	m := b.model
+// relationFrom reads the relative order of rects i, j off the given
+// geometry: the x split first, then the y split with the pair's
+// port-pitch margin as its gap. It refuses to guess: boxes the geometry
+// leaves overlapping, or a vertical split for a pair that may only
+// separate horizontally (xOnly), report false.
+func (b *builder) relationFrom(boxes []geom.Rect, i, j int, xOnly bool) (orderRelation, bool) {
 	bi, bj := boxes[i], boxes[j]
 	switch {
 	case bi.XR <= bj.XL+1: // i west of j
-		m.AddLE(milp.T(b.xr[i], 1).Add(b.xl[j], -1), 0)
+		return orderRelation{lo: i, hi: j}, true
 	case bj.XR <= bi.XL+1:
-		m.AddLE(milp.T(b.xr[j], 1).Add(b.xl[i], -1), 0)
+		return orderRelation{lo: j, hi: i}, true
 	case !xOnly && bi.YT <= bj.YB+1: // i below j
 		mbij, _ := b.pairMargins(i, j)
-		m.AddLE(milp.T(b.yt[i], 1).Add(b.yb[j], -1), -mbij/mmScale)
+		return orderRelation{y: true, lo: i, hi: j, gap: mbij}, true
 	case !xOnly && bj.YT <= bi.YB+1:
 		_, mbji := b.pairMargins(i, j)
-		m.AddLE(milp.T(b.yt[j], 1).Add(b.yb[i], -1), -mbji/mmScale)
-	default:
-		return false
+		return orderRelation{y: true, lo: j, hi: i, gap: mbji}, true
 	}
-	return true
+	return orderRelation{}, false
+}
+
+// addRelation emits rel as a single LE row.
+func (b *builder) addRelation(rel orderRelation) {
+	if rel.y {
+		b.model.AddLE(milp.T(b.yt[rel.lo], 1).Add(b.yb[rel.hi], -1), -rel.gap/mmScale)
+		return
+	}
+	b.model.AddLE(milp.T(b.xr[rel.lo], 1).Add(b.xl[rel.hi], -1), 0)
+}
+
+// seedRelations returns the seed's relative position of every active
+// pair (EffortGuided). Must run after snapshotSeed. The seed is
+// overlap-free by construction, so relationFrom always finds one; should
+// it not, the pair gets the last option, j below i.
+func (b *builder) seedRelations(active [][2]int) []orderRelation {
+	rels := make([]orderRelation, len(active))
+	for k, p := range active {
+		rel, ok := b.relationFrom(b.seedBoxes, p[0], p[1], false)
+		if !ok {
+			_, mbji := b.pairMargins(p[0], p[1])
+			rel = orderRelation{y: true, lo: p[1], hi: p[0], gap: mbji}
+		}
+		rels[k] = rel
+	}
+	return rels
+}
+
+// addSeedRelations fixes every active pair to the seed's relative
+// position (EffortGuided). On a round whose model is a pure LP (every
+// 1-MUX guided round), relations implied by a chain of the others are
+// left out: the feasible set, and so the optimum, is the same, with a
+// row only where no chain covers the pair (chip256 keeps 93 of 1488;
+// EXPERIMENTS.md, "Guided order-row reduction"). A round with binaries
+// (the 2-MUX control sides) keeps every relation, because there the row
+// set steers branch and bound.
+func (b *builder) addSeedRelations(active [][2]int) {
+	rels := b.seedRelations(active)
+	implied := make([]bool, len(rels))
+	if b.model.NumInt() == 0 {
+		implied = impliedRelations(rels, b.minExtents())
+	}
+	for k, rel := range rels {
+		if implied[k] {
+			b.impliedRelations++
+			continue
+		}
+		b.addRelation(rel)
+	}
+}
+
+// minExtents returns every rect's minExtent, widths in [0] and heights
+// in [1].
+func (b *builder) minExtents() [2][]float64 {
+	ext := [2][]float64{make([]float64, len(b.rects)), make([]float64, len(b.rects))}
+	for i, r := range b.rects {
+		ext[0][i], ext[1][i] = minExtent(r)
+	}
+	return ext
+}
+
+// impliedRelations marks every relation a chain of the others on its
+// axis implies: a path lo → k₁ → … → hi whose gaps plus the intermediate
+// rects' minimum extents (ext[0] widths, ext[1] heights, µm) cover its
+// gap. All marked relations can go at once: on an acyclic axis a marked
+// relation's chain can be rewritten through unmarked relations only, and
+// no rewrite shortens it. An axis whose relations form a cycle keeps all
+// of them. Per axis this is one Kahn order plus one longest-path pass per
+// source rect, O(rects × relations).
+func impliedRelations(rels []orderRelation, ext [2][]float64) []bool {
+	n := len(ext[0])
+	implied := make([]bool, len(rels))
+	out := make([][]int, n) // per rect, the indices of its outgoing relations
+	indeg := make([]int, n)
+	order := make([]int, 0, n)
+	// For the current source u: direct[k] is the gap of relation u → k,
+	// via[k] the longest chain u → … → k of two or more relations.
+	direct := make([]float64, n)
+	via := make([]float64, n)
+	for axis := 0; axis < 2; axis++ {
+		for k := range out {
+			out[k] = out[k][:0]
+			indeg[k] = 0
+		}
+		for ri, rel := range rels {
+			if rel.y == (axis == 1) {
+				out[rel.lo] = append(out[rel.lo], ri)
+				indeg[rel.hi]++
+			}
+		}
+		order = order[:0]
+		for k := 0; k < n; k++ {
+			if indeg[k] == 0 {
+				order = append(order, k)
+			}
+		}
+		for q := 0; q < len(order); q++ {
+			for _, ri := range out[order[q]] {
+				h := rels[ri].hi
+				if indeg[h]--; indeg[h] == 0 {
+					order = append(order, h)
+				}
+			}
+		}
+		if len(order) < n {
+			continue // a cycle: keep the axis whole
+		}
+		e := ext[axis]
+		for p, u := range order {
+			if len(out[u]) == 0 {
+				continue
+			}
+			rest := order[p+1:]
+			for _, k := range rest {
+				direct[k], via[k] = math.Inf(-1), math.Inf(-1)
+			}
+			for _, ri := range out[u] {
+				direct[rels[ri].hi] = math.Max(direct[rels[ri].hi], rels[ri].gap)
+			}
+			for _, k := range rest {
+				d := math.Max(direct[k], via[k])
+				if math.IsInf(d, -1) {
+					continue
+				}
+				for _, ri := range out[k] {
+					h := rels[ri].hi
+					via[h] = math.Max(via[h], d+e[k]+rels[ri].gap)
+				}
+			}
+			for _, ri := range out[u] {
+				implied[ri] = via[rels[ri].hi] >= rels[ri].gap
+			}
+		}
+	}
+	return implied
 }
 
 // setObjective emits the minimisation objective (13).

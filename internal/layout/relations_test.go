@@ -1,0 +1,206 @@
+package layout
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"columbas/internal/cases"
+	"columbas/internal/milp"
+	"columbas/internal/planar"
+)
+
+// longestChains returns L[u][v], the longest chain u → … → v through the
+// given relations of one axis — gaps plus the extents of the rects in
+// between, -Inf where v is unreachable — by Floyd–Warshall. On an
+// acyclic relation set it is an independent oracle for impliedRelations;
+// a finite L[u][u] reveals a cycle.
+func longestChains(n int, rels []orderRelation, ext []float64) [][]float64 {
+	l := make([][]float64, n)
+	for u := range l {
+		l[u] = make([]float64, n)
+		for v := range l[u] {
+			l[u][v] = math.Inf(-1)
+		}
+	}
+	for _, r := range rels {
+		l[r.lo][r.hi] = math.Max(l[r.lo][r.hi], r.gap)
+	}
+	for k := 0; k < n; k++ {
+		for u := 0; u < n; u++ {
+			if math.IsInf(l[u][k], -1) {
+				continue
+			}
+			for v := 0; v < n; v++ {
+				l[u][v] = math.Max(l[u][v], l[u][k]+ext[k]+l[k][v])
+			}
+		}
+	}
+	return l
+}
+
+// TestImpliedRelationsExact checks the guided order-row reduction on
+// random relation sets of up to 12 rects, with zero and positive gaps,
+// zero-extent rects and chains that tie their relation's gap exactly:
+// every dropped relation is implied by the kept ones alone, every kept
+// relation is implied by no chain of the others, and an axis with a
+// cycle keeps everything.
+func TestImpliedRelationsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	gaps := []float64{0, 0, 0, 50, 100, 250}
+	extents := []float64{0, 0, 50, 100, 150}
+	iters := 600
+	if testing.Short() {
+		iters = 150
+	}
+	dropped, cyclicAxes := 0, 0
+	for it := 0; it < iters; it++ {
+		n := 2 + rng.Intn(11)
+		var ext [2][]float64
+		for a := range ext {
+			ext[a] = make([]float64, n)
+			for i := range ext[a] {
+				ext[a][i] = extents[rng.Intn(len(extents))]
+			}
+		}
+		// Each axis orients its relations along a random rect order, so
+		// it is acyclic; every eighth set flips some relations against
+		// that order, which usually closes a cycle.
+		pos := [2][]int{rng.Perm(n), rng.Perm(n)}
+		flip := it%8 == 0
+		var rels []orderRelation
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Intn(5) < 2 {
+					continue
+				}
+				a := rng.Intn(2)
+				lo, hi := i, j
+				if pos[a][lo] > pos[a][hi] {
+					lo, hi = hi, lo
+				}
+				if flip && rng.Intn(4) == 0 {
+					lo, hi = hi, lo
+				}
+				rels = append(rels, orderRelation{y: a == 1, lo: lo, hi: hi, gap: gaps[rng.Intn(len(gaps))]})
+			}
+		}
+		implied := impliedRelations(rels, ext)
+		if len(implied) != len(rels) {
+			t.Fatalf("set %d: %d verdicts for %d relations", it, len(implied), len(rels))
+		}
+		for a := 0; a < 2; a++ {
+			var axis, kept []orderRelation
+			var idx []int
+			for k, r := range rels {
+				if r.y != (a == 1) {
+					continue
+				}
+				axis = append(axis, r)
+				idx = append(idx, k)
+				if !implied[k] {
+					kept = append(kept, r)
+				}
+			}
+			all := longestChains(n, axis, ext[a])
+			cyclic := false
+			for u := 0; u < n; u++ {
+				cyclic = cyclic || !math.IsInf(all[u][u], -1)
+			}
+			if cyclic {
+				cyclicAxes++
+				if len(kept) != len(axis) {
+					t.Fatalf("set %d axis %d: dropped %d relations of a cyclic axis", it, a, len(axis)-len(kept))
+				}
+				continue
+			}
+			fromKept := longestChains(n, kept, ext[a])
+			for x, r := range axis {
+				if implied[idx[x]] {
+					dropped++
+					if fromKept[r.lo][r.hi] < r.gap {
+						t.Fatalf("set %d: dropped %+v, but the kept relations only give %v", it, r, fromKept[r.lo][r.hi])
+					}
+					continue
+				}
+				others := append(append([]orderRelation(nil), axis[:x]...), axis[x+1:]...)
+				if l := longestChains(n, others, ext[a])[r.lo][r.hi]; l >= r.gap {
+					t.Fatalf("set %d: kept %+v, which a chain of %v already implies", it, r, l)
+				}
+			}
+		}
+	}
+	if dropped == 0 || cyclicAxes == 0 {
+		t.Fatalf("weak sample: %d relations dropped, %d cyclic axes", dropped, cyclicAxes)
+	}
+}
+
+// TestSeedRelationReductionKeepsOptimum solves the guided round's LP of
+// four 1-MUX designs twice — with the reduced relation set the model
+// carries and with every seed relation — and requires the same optimum.
+func TestSeedRelationReductionKeepsOptimum(t *testing.T) {
+	ids := []string{"kinase21", "chip64", "chip128", "chip256"}
+	if testing.Short() {
+		ids = ids[:2]
+	}
+	for _, id := range ids {
+		c, err := cases.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := c.WithMuxes(1).Netlist()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := planar.Planarize(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := buildModel(pr, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.greedyPlace()
+		b.snapshotSeed()
+		lpSolve := func(m *milp.Model) *milp.Result {
+			t.Helper()
+			res, err := m.Solve(milp.Options{Workers: 1, NoCuts: true, TimeLimit: time.Minute})
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			if res.Status != milp.Optimal {
+				t.Fatalf("%s: LP status %v", id, res.Status)
+			}
+			return res
+		}
+		// Round 1 places every rect without relations; the pairs it
+		// leaves overlapping are round 2's relation set.
+		b.buildMILP(true, nil)
+		b.applySolution(lpSolve(b.model))
+		active := b.overlappingPairs(nil)
+
+		b.buildMILP(true, active)
+		reduced, dropped := b.model, b.impliedRelations
+		if reduced.NumInt() != 0 || dropped == 0 {
+			t.Fatalf("%s: %d binaries, %d of %d relations dropped", id, reduced.NumInt(), dropped, len(active))
+		}
+		b.buildMILP(true, active)
+		rels := b.seedRelations(active)
+		for k, imp := range impliedRelations(rels, b.minExtents()) {
+			if imp {
+				b.addRelation(rels[k])
+			}
+		}
+		full := b.model
+		if full.NumRows() != reduced.NumRows()+dropped {
+			t.Fatalf("%s: full model has %d rows, want %d + %d", id, full.NumRows(), reduced.NumRows(), dropped)
+		}
+		objR, objF := lpSolve(reduced).Obj, lpSolve(full).Obj
+		if math.Abs(objR-objF) > 1e-6 {
+			t.Errorf("%s: reduced optimum %.9g, full %.9g", id, objR, objF)
+		}
+		t.Logf("%s: %d of %d relations implied, %d vs %d rows, objective %.6f (diff %g)",
+			id, dropped, len(active), reduced.NumRows(), full.NumRows(), objR, objR-objF)
+	}
+}

@@ -374,6 +374,7 @@ func recordRound(sp *obs.Span, b *builder, res *milp.Result, activePairs int) {
 	sp.SetInt("rows", int64(b.model.NumRows()))
 	sp.SetInt("binaries", int64(b.model.NumInt()))
 	sp.SetInt("active_pairs", int64(activePairs))
+	sp.SetInt("implied_relations", int64(b.impliedRelations))
 	st := res.Stats
 	sp.SetInt("nodes", st.NodesExplored)
 	sp.SetInt("nodes_pruned", st.NodesPruned)

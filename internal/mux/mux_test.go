@@ -2,6 +2,8 @@ package mux
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -231,6 +233,41 @@ func TestSelectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Open must answer exactly what Blocked answers channel by channel, for
+// any pressurisation state — not only the ones Select produces — and a
+// valve on a channel outside [0, N) must block nothing.
+func TestOpenMatchesBlocked(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for it := 0; it < 200; it++ {
+		m, err := Build(channels(1+rng.Intn(300)), it%2 == 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it%3 == 0 {
+			stray := m.Valves[rng.Intn(len(m.Valves))]
+			stray.Channel = m.N + rng.Intn(4)
+			if it%2 == 0 {
+				stray.Channel = -1 - rng.Intn(4)
+			}
+			m.Valves = append(m.Valves, stray)
+		}
+		s := Selection{Pressurized: make([]bool, len(m.Lines))}
+		density := rng.Float64()
+		for li := range s.Pressurized {
+			s.Pressurized[li] = rng.Float64() < density
+		}
+		var want []int
+		for c := 0; c < m.N; c++ {
+			if !m.Blocked(c, s) {
+				want = append(want, c)
+			}
+		}
+		if got := m.Open(s); !slices.Equal(got, want) {
+			t.Fatalf("N=%d, pressurized %v: Open = %v, want %v", m.N, s.Pressurized, got, want)
+		}
 	}
 }
 
