@@ -4,7 +4,7 @@
 #   make test-short     the fast tier: go test -short ./... (inner-loop sanity)
 #   make race           the race detector across the whole module
 #   make race-solver    quick race pass over the solver stack only
-#   make fuzz-smoke     short solver fuzz runs (parallel-vs-sequential + cut validity + MPS parse)
+#   make fuzz-smoke     short fuzz runs (parallel-vs-sequential + cut validity + MPS parse + netlist parse)
 #   make conformance    full randomized synthesis sweep (200 seeds, no race)
 #   make docs-check     every internal package documents itself in a doc.go
 #   make serve-check    build the daemon + httptest smoke of the HTTP API under -race
@@ -46,22 +46,28 @@ race:
 race-solver:
 	$(GO) test -race -count=1 ./internal/milp/... ./internal/lp/...
 
-# One go test invocation can drive only one -fuzz target, so the three
+# One go test invocation can drive only one -fuzz target, so the four
 # smoke runs are separate lines: the parallel-vs-sequential solver
 # property at the root, the cut/presolve validity property (no reduction
-# may exclude an integer-feasible point) in internal/milp, and the MPS
+# may exclude an integer-feasible point) in internal/milp, the MPS
 # parser property (never panic, typed errors, write→parse→write is a
-# byte fixpoint) in internal/mps.
+# byte fixpoint) in internal/mps, and the netlist parser property (never
+# panic, typed errors, accepted input formats to text that parses again)
+# in internal/netlist. The netlist line bounds minimization at 1 s: its
+# Table 1 seeds run to several KB, and at the default 60 s minimizing
+# the first inputs they spawn takes up both workers for the rest of the
+# 15 s, so almost nothing gets fuzzed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMILPParallel -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz FuzzCutValidity -fuzztime 15s ./internal/milp/
 	$(GO) test -run '^$$' -fuzz FuzzParseMPS -fuzztime 15s ./internal/mps/
+	$(GO) test -run '^$$' -fuzz FuzzParseNetlist -fuzztime 15s -fuzzminimizetime 1s ./internal/netlist/
 
 # The randomized synthesis conformance property at full width: every one
 # of the 200 generator seeds must either be rejected with a typed
 # *core.SynthesisError or synthesize into a DRC-clean design. The
-# TestSynthesisConformance prefix also pulls in the warm/cold, presolve
-# and kernel agreement matrices (solver ablations must never change a
+# TestSynthesisConformance prefix also pulls in the warm/cold,
+# delta-warm and presolve agreement matrices (solver ablations must never change a
 # verdict).
 conformance:
 	$(GO) test -run 'TestSynthesisConformance|TestNetlistRoundTrip|TestConformanceMostlySynthesizable' -count=1 .
@@ -131,7 +137,7 @@ loadtest:
 
 # The general-MILP ingestion gate: the corpus differential matrix (every
 # instance keeps its golden status/objective across presolve × cuts ×
-# kernel × branching), the write→parse→write round-trip, and the
+# branching), the write→parse→write round-trip, and the
 # columbamilp CLI's golden/error-contract tests.
 milp-check:
 	$(GO) build ./cmd/columbamilp

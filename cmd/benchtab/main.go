@@ -32,7 +32,6 @@ import (
 
 	"columbas/internal/bench"
 	"columbas/internal/cases"
-	"columbas/internal/lp"
 	"columbas/internal/milp"
 	"columbas/internal/obs"
 )
@@ -59,7 +58,6 @@ func run() error {
 		noPre    = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta  = flag.Bool("no-delta", false, "disable the delta-aware warm-start pipeline: ignore any donor hint, solve cold (ablation)")
 		branch   = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
-		kernel   = flag.String("kernel", "auto", "LP basis engine: auto or sparse (sparse LU), dense (explicit-inverse reference engine)")
 		pprofCPU = flag.String("pprof-cpu", "", "write a CPU profile of the whole run to this file")
 		pprofMem = flag.String("pprof-mem", "", "write a heap profile at exit to this file")
 	)
@@ -95,9 +93,6 @@ func run() error {
 	var err error
 	if cfg.Branching, err = milp.ParseBranchRule(*branch); err != nil {
 		return fmt.Errorf("-branching: %w", err)
-	}
-	if cfg.Kernel, err = lp.ParseKernel(*kernel); err != nil {
-		return fmt.Errorf("-kernel: %w", err)
 	}
 	if *quick {
 		cfg.StallLimit = 40

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	columbamilp model.mps
-//	columbamilp -kernel sparse -branching mostfrac -no-cuts model.mps
+//	columbamilp -branching mostfrac -no-cuts model.mps
 //	columbamilp -timeout 10s -workers 4 -stats model.mps
 //	gen-emitted instances: see internal/gen.WriteMPS
 //
@@ -34,7 +34,6 @@ import (
 	"runtime"
 	"time"
 
-	"columbas/internal/lp"
 	"columbas/internal/milp"
 	"columbas/internal/mps"
 	"columbas/internal/obs"
@@ -84,7 +83,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("columbamilp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		kernel    = fs.String("kernel", "auto", "LP basis engine: auto or sparse (sparse LU), dense (explicit-inverse reference engine)")
 		branching = fs.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
 		noCuts    = fs.Bool("no-cuts", false, "disable root cutting planes (Gomory + cover)")
 		noPre     = fs.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening)")
@@ -111,9 +109,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		TimeLimit:  *timeout,
 	}
 	var err error
-	if opt.Kernel, err = lp.ParseKernel(*kernel); err != nil {
-		return fail(stderr, "invalid_option", err)
-	}
 	if *branching != "" {
 		if opt.Branching, err = milp.ParseBranchRule(*branching); err != nil {
 			return fail(stderr, "invalid_option", err)

@@ -176,7 +176,7 @@ func TestCLIStdin(t *testing.T) {
 func TestCLIBadFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run(
-		[]string{"-kernel", "quantum", filepath.Join(corpusDir, "knap3.mps")},
+		[]string{"-branching", "quantum", filepath.Join(corpusDir, "knap3.mps")},
 		strings.NewReader(""), &stdout, &stderr,
 	)
 	if code != 1 {
@@ -184,5 +184,25 @@ func TestCLIBadFlag(t *testing.T) {
 	}
 	if e := decodeEnvelope(t, stderr.String()); e.Code != "invalid_option" {
 		t.Fatalf("code %q, want invalid_option", e.Code)
+	}
+}
+
+// TestCLIRemovedKernelFlag checks that -kernel, removed with the dense
+// LP engine, is now an unknown flag: flag parsing fails with exit 1
+// before any input is read.
+func TestCLIRemovedKernelFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(
+		[]string{"-kernel", "sparse", filepath.Join(corpusDir, "knap3.mps")},
+		strings.NewReader(""), &stdout, &stderr,
+	)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -kernel") {
+		t.Fatalf("stderr %q, want the flag package's unknown-flag message", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("stdout %q, want nothing", stdout.String())
 	}
 }

@@ -52,7 +52,6 @@ func run() error {
 		noPre     = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta   = flag.Bool("no-delta", false, "ignore any delta warm-start donor and solve cold (ablation)")
 		branching = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
-		kernel    = flag.String("kernel", "auto", "LP basis engine: auto or sparse (sparse LU), dense (explicit-inverse reference engine)")
 		noDRC     = flag.Bool("nodrc", false, "skip the design-rule check")
 		stats     = flag.Bool("stats", false, "print the per-phase statistics table (docs/metrics.md) to stderr")
 		traceJSON = flag.String("trace-json", "", "write the phase trace as JSON (schema columbas-trace/v1) to this file")
@@ -76,7 +75,6 @@ func run() error {
 		NoPresolve:  *noPre,
 		NoDelta:     *noDelta,
 		Branching:   *branching,
-		Kernel:      *kernel,
 	}
 	opt, err := spec.Apply(core.DefaultOptions())
 	if err != nil {

@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"columbas/internal/lp"
 	"columbas/internal/milp"
 	"columbas/internal/server"
 )
@@ -63,7 +62,6 @@ func run() error {
 		noPre    = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta  = flag.Bool("no-delta", false, "disable the delta-aware warm-start pipeline: no similarity-index donors, every solve cold (ablation)")
 		branch   = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
-		kernel   = flag.String("kernel", "auto", "LP basis engine: auto or sparse (sparse LU), dense (explicit-inverse reference engine)")
 	)
 	flag.Parse()
 
@@ -81,10 +79,6 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("-branching: %w", err)
 	}
-	kernelMode, err := lp.ParseKernel(*kernel)
-	if err != nil {
-		return fmt.Errorf("-kernel: %w", err)
-	}
 
 	cfg := server.Config{
 		Jobs:           *jobs,
@@ -98,7 +92,6 @@ func run() error {
 		NoPresolve:     *noPre,
 		NoDelta:        *noDelta,
 		Branching:      rule,
-		Kernel:         kernelMode,
 	}
 	if *traceLog != "" {
 		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

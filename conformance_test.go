@@ -12,7 +12,6 @@ import (
 
 	"columbas/internal/core"
 	"columbas/internal/gen"
-	"columbas/internal/lp"
 	"columbas/internal/milp"
 	"columbas/internal/netlist"
 )
@@ -220,51 +219,6 @@ func TestSynthesisConformancePresolveAgree(t *testing.T) {
 			}
 		}
 	}
-}
-
-// The dense and sparse LP basis engines must be interchangeable at the
-// pipeline level: for the same netlist, every kernel mode reaches the
-// same verdict (typed rejection vs clean design). Placements may differ
-// — the engines take numerically different pivot trajectories — but a
-// kernel whose FTRAN/BTRAN algebra drifted from the explicit inverse
-// would surface here as a rejection or a dirty design the other mode
-// doesn't produce. A scale-class netlist (gen.Scale) rides along so both
-// engines also meet a large, very sparse model.
-func TestSynthesisConformanceKernelsAgree(t *testing.T) {
-	seeds := 20
-	if testing.Short() {
-		seeds = 5
-	}
-	kernels := []lp.Kernel{lp.KernelDense, lp.KernelSparse}
-	check := func(t *testing.T, n *netlist.Netlist) {
-		t.Helper()
-		var refOK, refClean bool
-		for i, k := range kernels {
-			opt := conformanceOpts()
-			opt.Layout.Kernel = k
-			res, err := core.Synthesize(n, opt)
-			if err != nil {
-				var serr *core.SynthesisError
-				if !errors.As(err, &serr) {
-					t.Errorf("%s kernel=%v: untyped synthesis error: %v", n.Name, k, err)
-				}
-			}
-			ok := err == nil
-			clean := ok && res.DRC != nil && res.DRC.Clean()
-			if i == 0 {
-				refOK, refClean = ok, clean
-				continue
-			}
-			if ok != refOK || clean != refClean {
-				t.Errorf("%s: kernel %v verdict (ok=%v clean=%v) disagrees with %v (ok=%v clean=%v)",
-					n.Name, k, ok, clean, kernels[0], refOK, refClean)
-			}
-		}
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		check(t, gen.Generate(seed))
-	}
-	check(t, gen.Scale(32, 4).Generate(0))
 }
 
 // Every generated netlist and every netlist file shipped in examples/

@@ -9,7 +9,6 @@ import (
 	"columbas/internal/cases"
 	"columbas/internal/columba2"
 	"columbas/internal/core"
-	"columbas/internal/lp"
 	"columbas/internal/milp"
 	"columbas/internal/obs"
 	"columbas/internal/planar"
@@ -43,10 +42,6 @@ type Config struct {
 	// Branching selects the branch-and-bound variable selection rule;
 	// the zero value is pseudocost branching.
 	Branching milp.BranchRule
-	// Kernel selects the LP basis engine for the Columba S layout solves
-	// (layout.Options.Kernel): auto (zero value) and sparse run the LU
-	// engine, dense the explicit-inverse reference engine.
-	Kernel lp.Kernel
 }
 
 // DefaultConfig mirrors the evaluation setup: generous budget for the
@@ -104,7 +99,6 @@ func RunS(c cases.Case, muxes int, cfg Config) (*SRun, error) {
 	opt.Layout.NoPresolve = cfg.NoPresolve
 	opt.NoDelta = cfg.NoDelta
 	opt.Layout.Branching = cfg.Branching
-	opt.Layout.Kernel = cfg.Kernel
 	if cfg.StallLimit > 0 {
 		opt.Layout.StallLimit = cfg.StallLimit
 	}

@@ -249,8 +249,6 @@ func recordLayout(sp *obs.Span, plan *layout.Plan) {
 	sp.SetInt("milp_phase1_rows", se.Phase1Rows)
 	sp.SetInt("milp_eta_updates", se.EtaUpdates)
 	sp.SetInt("milp_refactorizations", se.Refactorizations)
-	sp.SetInt("milp_sparse_refactorizations", se.SparseRefactorizations)
-	sp.SetInt("milp_dense_fallbacks", se.DenseFallbacks)
 	sp.SetInt("milp_fill_in", se.FillIn)
 	sp.SetInt("milp_basis_nonzeros", se.BasisNonzeros)
 	sp.SetInt("milp_workspace_reuses", se.WorkspaceReuses)

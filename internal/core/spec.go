@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"columbas/internal/layout"
-	"columbas/internal/lp"
 	"columbas/internal/milp"
 	"columbas/internal/netlist"
 )
@@ -54,9 +53,6 @@ type OptionSpec struct {
 	// Branching selects the variable selection rule: "pseudocost"
 	// (default) or "mostfrac"; empty keeps the base rule.
 	Branching string `json:"branching,omitempty"`
-	// Kernel selects the LP basis engine: "auto", "dense" or "sparse";
-	// empty keeps the base engine.
-	Kernel string `json:"kernel,omitempty"`
 	// Timeout is the hard wall-clock deadline for the whole request as
 	// a duration string. Unlike Time it fails the run when it fires.
 	// It is not part of Options (deadlines are transient); callers read
@@ -126,13 +122,6 @@ func (sp OptionSpec) Apply(base Options) (Options, error) {
 			return opt, err
 		}
 		opt.Layout.Branching = rule
-	}
-	if sp.Kernel != "" {
-		k, err := lp.ParseKernel(sp.Kernel)
-		if err != nil {
-			return opt, err
-		}
-		opt.Layout.Kernel = k
 	}
 	if _, err := sp.ParseTimeout(); err != nil {
 		return opt, err

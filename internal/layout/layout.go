@@ -233,11 +233,6 @@ type Options struct {
 	// (milp.Options.Branching); the zero value is pseudocost branching
 	// with reliability initialization.
 	Branching milp.BranchRule `json:"branching"`
-	// Kernel selects the LP basis engine for every MILP relaxation
-	// (milp.Options.Kernel): the zero value runs the sparse LU engine,
-	// KernelDense the explicit-inverse reference engine; the columbas CLI
-	// exposes it as -kernel={auto,dense,sparse}.
-	Kernel lp.Kernel `json:"kernel"`
 	// Workers is the number of parallel branch-and-bound workers handed
 	// to the MILP solver (milp.Options.Workers): 0 or 1 runs the exact
 	// sequential search, a negative value uses runtime.GOMAXPROCS(0).

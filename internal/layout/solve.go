@@ -188,7 +188,6 @@ func (b *builder) solve(opt Options) (*Plan, error) {
 			NoCuts:      true,
 			NoPresolve:  opt.NoPresolve,
 			Branching:   opt.Branching,
-			Kernel:      opt.Kernel,
 		})
 		if err != nil {
 			roundSp.End()
@@ -385,8 +384,6 @@ func recordRound(sp *obs.Span, b *builder, res *milp.Result, activePairs int) {
 	sp.SetInt("warm_pivots", st.WarmPivots)
 	sp.SetInt("eta_updates", st.EtaUpdates)
 	sp.SetInt("refactorizations", st.Refactorizations)
-	sp.SetInt("sparse_refactorizations", st.SparseRefactorizations)
-	sp.SetInt("dense_fallbacks", st.DenseFallbacks)
 	sp.SetInt("fill_in", st.FillIn)
 	sp.SetInt("basis_nonzeros", st.BasisNonzeros)
 	sp.SetInt("workspace_reuses", st.WorkspaceReuses)

@@ -1,5 +1,6 @@
-// Package lp implements a linear-programming solver: a dense,
-// bounded-variable, two-phase primal simplex method.
+// Package lp implements a linear-programming solver: a revised,
+// bounded-variable, two-phase primal simplex method on a sparse LU
+// basis factorization.
 //
 // Columba S solves its physical-synthesis models with a commercial MILP
 // solver (Gurobi). This reproduction has no solver dependency, so lp —
@@ -12,9 +13,9 @@
 // The implementation is a textbook revised simplex with bound-flip ratio
 // tests, Dantzig pricing with a Bland's-rule fallback for anti-cycling,
 // and a phase-1 artificial-variable start. The basis is held as sparse LU
-// factors with product-form updates; an explicitly maintained dense
-// inverse (KernelDense) remains as the reference engine of the drift and
-// agreement tests. It is intended for the model sizes Columba S produces
+// factors with product-form (eta) updates, refactorized periodically and
+// cached across warm-started solves. It is intended for the model sizes
+// Columba S produces
 // (tens of rectangles, hundreds to a few thousand rows), not for
 // general-purpose large-scale LP.
 //

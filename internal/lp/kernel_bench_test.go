@@ -7,17 +7,15 @@ import (
 )
 
 // kernelBenchProblem builds a deterministic mid-size LP (the shape of one
-// branch-and-bound relaxation) under the requested engine and solves it
-// once on the full tableau so the warm path has a basis to start from.
+// branch-and-bound relaxation) and solves it once on the full tableau so the warm path has a basis to start from.
 // Seeds are probed in order until one yields an Optimal, basis-carrying
 // solve, so the fixture stays stable if the generator's arithmetic
 // shifts.
-func kernelBenchProblem(tb testing.TB, k Kernel) (*Problem, *Basis) {
+func kernelBenchProblem(tb testing.TB) (*Problem, *Basis) {
 	tb.Helper()
 	for seed := int64(0); seed < 64; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewProblem()
-		p.SetKernel(k)
 		const nv, nr = 40, 25
 		for v := 0; v < nv; v++ {
 			p.AddVar(0, 10+rng.Float64()*10, rng.NormFloat64())
@@ -49,18 +47,7 @@ func kernelBenchProblem(tb testing.TB, k Kernel) (*Problem, *Basis) {
 // feasibility scans — no factorization, no pivots, and (pinned by
 // TestSolveFromSteadyStateAllocs and make bench-kernel) no allocations.
 func BenchmarkSolveFromSteadyState(b *testing.B) {
-	benchSteadyState(b, KernelDense)
-}
-
-// BenchmarkSolveFromSteadyStateSparse is the same steady state on the
-// factorized (LU + eta) engine; make bench-kernel runs both so the
-// sparse path stays under the same zero-allocation discipline.
-func BenchmarkSolveFromSteadyStateSparse(b *testing.B) {
-	benchSteadyState(b, KernelSparse)
-}
-
-func benchSteadyState(b *testing.B, k Kernel) {
-	p, basis := kernelBenchProblem(b, k)
+	p, basis := kernelBenchProblem(b)
 	var spare *Solution
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -77,19 +64,10 @@ func benchSteadyState(b *testing.B, k Kernel) {
 // BenchmarkSolveFromBranchToggle measures the other half of the hot loop:
 // a child-style bound change followed by a warm re-solve, alternating a
 // tightened and a restored bound so every iteration performs real dual
-// repair work (pivots, eta updates) on recycled memory.
+// repair work (pivots landing on the LU factors as eta columns) on
+// recycled memory.
 func BenchmarkSolveFromBranchToggle(b *testing.B) {
-	benchBranchToggle(b, KernelDense)
-}
-
-// BenchmarkSolveFromBranchToggleSparse: the same bound-toggle repair
-// loop with pivots landing on the LU factors as eta columns.
-func BenchmarkSolveFromBranchToggleSparse(b *testing.B) {
-	benchBranchToggle(b, KernelSparse)
-}
-
-func benchBranchToggle(b *testing.B, k Kernel) {
-	p, basis := kernelBenchProblem(b, k)
+	p, basis := kernelBenchProblem(b)
 	// Toggle the bound of the variable largest in the optimum — the one
 	// most likely to be basic, so tightening it forces pivots.
 	sol, err := p.SolveFromReuse(basis, nil)
@@ -126,40 +104,35 @@ func benchBranchToggle(b *testing.B, k Kernel) {
 }
 
 // TestSolveFromSteadyStateAllocs pins the zero-allocation steady state of
-// the warm-start path in both engines: once the workspace is warmed up,
-// re-solving from the previous basis with Solution recycling must not
-// allocate at all. This is the alloc regression gate make bench-kernel
-// enforces.
+// the warm-start path: once the workspace is warmed up, re-solving from
+// the previous basis with Solution recycling must not allocate at all.
+// This is the alloc regression gate make bench-kernel enforces.
 func TestSolveFromSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the property is gated in non-race runs")
 	}
-	for _, k := range []Kernel{KernelDense, KernelSparse} {
-		t.Run(k.String(), func(t *testing.T) {
-			p, basis := kernelBenchProblem(t, k)
-			var spare *Solution
-			for i := 0; i < 3; i++ { // warm up buffers, cache, and recycled Solution
-				sol, err := p.SolveFromReuse(basis, spare)
-				if err != nil || sol.Status != Optimal {
-					t.Fatalf("warm-up %d: status %v err %v", i, sol.Status, err)
-				}
-				basis = sol.Basis()
-				spare = sol
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				sol, err := p.SolveFromReuse(basis, spare)
-				if err != nil || sol.Status != Optimal {
-					t.Fatalf("status %v err %v", sol.Status, err)
-				}
-				basis = sol.Basis()
-				spare = sol
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state warm solve: %v allocs/op, want 0", allocs)
-			}
-			if p.WorkspaceReuseCount() == 0 {
-				t.Fatal("steady state never hit the workspace factorization cache")
-			}
-		})
+	p, basis := kernelBenchProblem(t)
+	var spare *Solution
+	for i := 0; i < 3; i++ { // warm up buffers, cache, and recycled Solution
+		sol, err := p.SolveFromReuse(basis, spare)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("warm-up %d: status %v err %v", i, sol.Status, err)
+		}
+		basis = sol.Basis()
+		spare = sol
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sol, err := p.SolveFromReuse(basis, spare)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("status %v err %v", sol.Status, err)
+		}
+		basis = sol.Basis()
+		spare = sol
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state warm solve: %v allocs/op, want 0", allocs)
+	}
+	if p.WorkspaceReuseCount() == 0 {
+		t.Fatal("steady state never hit the workspace factorization cache")
 	}
 }

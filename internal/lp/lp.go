@@ -74,7 +74,6 @@ type Problem struct {
 	rev       int64 // bumped on every structural change (vars/rows added)
 	deadline  time.Time
 	interrupt <-chan struct{}
-	kernel    Kernel // basis-factorization engine selection (see SetKernel)
 
 	// ws is the kernel scratch memory, created lazily on first solve and
 	// reused for the problem's lifetime (see Workspace). Not copied by
@@ -93,8 +92,6 @@ type Problem struct {
 	etaUpdates    int64
 	refactors     int64
 	wsReuses      int64
-	sparseRefacs  int64
-	denseFBs      int64
 	fillIn        int64
 	basisNnzPeak  int64
 }
@@ -172,7 +169,6 @@ func (p *Problem) Clone() *Problem {
 		rev:       p.rev,
 		deadline:  p.deadline,
 		interrupt: p.interrupt,
-		kernel:    p.kernel,
 	}
 }
 
@@ -339,9 +335,7 @@ type tableau struct {
 	basis     []int // basis[i] = variable basic in row i
 	state     []int8
 	x         []float64
-	binv      []float64 // m×m row-major B⁻¹ (workspace-backed, dense engine)
-	sparse    bool      // this run factorizes instead of inverting
-	f         *sparseLU // workspace-owned sparse factors (valid when sparse)
+	f         *sparseLU // workspace-owned LU factors and eta file
 	iters     int
 	maxIter   int
 	deadline  time.Time
@@ -355,17 +349,15 @@ type tableau struct {
 	// the run's result is actually returned (abandoned warm attempts
 	// leave the cumulative counters untouched, keeping the documented
 	// identities exact).
-	etaUpd      int64
-	refac       int64
-	sparseRefac int64  // subset of refac performed by the sparse LU engine
-	fillIn      int64  // cumulative LU fill-in across this run's factorizations
-	basisNnz    int64  // peak nnz(B) observed at factorization time
-	denseFB     bool   // the sparse engine fell back to the dense inverse
-	reusedInv   bool   // install skipped factorization via the workspace cache
-	basisDirty  bool   // basis or nonbasic states changed since install
-	invBad      bool   // B⁻¹ is untrusted (mid-run refactorization failed)
-	stabHits    int    // stability-guard triggers: the run saw numerical distress
-	installed   *Basis // snapshot installed by a warm start (nil when cold)
+	etaUpd     int64
+	refac      int64
+	fillIn     int64  // cumulative LU fill-in across this run's factorizations
+	basisNnz   int64  // peak nnz(B) observed at factorization time
+	reusedInv  bool   // install skipped factorization via the workspace cache
+	basisDirty bool   // basis or nonbasic states changed since install
+	invBad     bool   // B⁻¹ is untrusted (mid-run refactorization failed)
+	stabHits   int    // stability-guard triggers: the run saw numerical distress
+	installed  *Basis // snapshot installed by a warm start (nil when cold)
 }
 
 // Solve optimises the problem with the current bounds and costs.
@@ -420,24 +412,26 @@ func (p *Problem) ColdPivotCount() int64 { return p.pivots - p.warmPivots }
 func (p *Problem) Phase1RowCount() int64 { return p.phase1Rows }
 
 // EtaUpdateCount returns the cumulative product-form (eta) updates
-// applied to B⁻¹ — one per basis-changing pivot of every solve whose
-// result was returned. EtaUpdateCount() ≤ PivotCount() always holds
-// (bound-flip iterations change no basis and apply no update).
+// applied to the LU factors — one per basis-changing pivot of every
+// solve whose result was returned. EtaUpdateCount() ≤ PivotCount()
+// always holds (bound-flip iterations change no basis and apply no
+// update).
 func (p *Problem) EtaUpdateCount() int64 { return p.etaUpdates }
 
-// RefactorizationCount returns the number of from-scratch Gauss-Jordan
+// RefactorizationCount returns the number of from-scratch LU
 // factorizations of the basis matrix: warm-start installs that missed
 // the workspace's factorization cache, plus the counted periodic
 // refactorizations that flush eta-update drift (see SetRefactorInterval).
-// The diagonal artificial start basis of a cold solve is written in
+// The diagonal artificial start basis of a cold solve is installed in
 // place and is not counted.
 func (p *Problem) RefactorizationCount() int64 { return p.refactors }
 
 // WorkspaceReuseCount returns the number of completed solves that
-// skipped the O(m³) basis factorization entirely because the workspace
-// already held B⁻¹ for exactly the requested basis — the steady-state
-// branch-and-bound case where a worker expands a child of the node it
-// just solved. WorkspaceReuseCount() ≤ WarmStartCount() always holds.
+// skipped the basis factorization entirely because the workspace
+// already held the factors of exactly the requested basis — the
+// steady-state branch-and-bound case where a worker expands a child of
+// the node it just solved. WorkspaceReuseCount() ≤ WarmStartCount()
+// always holds.
 func (p *Problem) WorkspaceReuseCount() int64 { return p.wsReuses }
 
 // foldKernelCounters merges the kernel-level tallies of q — a reduced
@@ -447,8 +441,6 @@ func (p *Problem) WorkspaceReuseCount() int64 { return p.wsReuses }
 func (p *Problem) foldKernelCounters(q *Problem) {
 	p.etaUpdates += q.etaUpdates
 	p.refactors += q.refactors
-	p.sparseRefacs += q.sparseRefacs
-	p.denseFBs += q.denseFBs
 	p.fillIn += q.fillIn
 	if q.basisNnzPeak > p.basisNnzPeak {
 		p.basisNnzPeak = q.basisNnzPeak
@@ -461,7 +453,6 @@ func (p *Problem) foldKernelCounters(q *Problem) {
 func (p *Problem) foldTableau(t *tableau) {
 	p.etaUpdates += t.etaUpd
 	p.refactors += t.refac
-	p.sparseRefacs += t.sparseRefac
 	p.fillIn += t.fillIn
 	// Sample the final basis too: a solve that stays under the
 	// refactorization interval never factorizes, and the peak would
@@ -477,30 +468,14 @@ func (p *Problem) foldTableau(t *tableau) {
 	if t.basisNnz > p.basisNnzPeak {
 		p.basisNnzPeak = t.basisNnz
 	}
-	if t.denseFB {
-		p.denseFBs++
-	}
 	if t.reusedInv {
 		p.wsReuses++
 	}
 }
 
-// SparseRefactorizationCount returns the subset of RefactorizationCount
-// performed by the sparse LU engine; the remainder ran the dense
-// Gauss-Jordan rebuild. SparseRefactorizationCount() ≤
-// RefactorizationCount() always holds.
-func (p *Problem) SparseRefactorizationCount() int64 { return p.sparseRefacs }
-
-// DenseFallbackCount returns the number of completed solves during which
-// the sparse engine abandoned its factors (fill-in blow-up at
-// refactorization time) and finished the run on the dense inverse.
-// DenseFallbackCount() ≤ SolveCount() always holds: a run falls back at
-// most once and stays dense until its next install.
-func (p *Problem) DenseFallbackCount() int64 { return p.denseFBs }
-
 // FillInCount returns the cumulative LU fill-in — factor nonzeros beyond
-// nnz(B), summed over the sparse refactorizations of every returned run.
-// Zero whenever SparseRefactorizationCount is zero.
+// nnz(B), summed over the refactorizations of every returned run. Zero
+// whenever RefactorizationCount is zero.
 func (p *Problem) FillInCount() int64 { return p.fillIn }
 
 // BasisNonzeroPeak returns the largest basis-matrix nonzero count
@@ -608,17 +583,15 @@ func (p *Problem) prepTableau() *tableau {
 	m, nStru, n := ws.m, ws.nStru, ws.n
 	*t = tableau{
 		ws: ws, m: m, n: n, nStru: nStru, nArt: nStru + m,
-		cols:   ws.cols,
-		b:      ws.b,
-		lo:     ws.lo,
-		hi:     ws.hi,
-		cost:   ws.cost,
-		basis:  ws.basis,
-		state:  ws.state,
-		x:      ws.x,
-		binv:   ws.binv,
-		sparse: ws.sparse,
-		f:      &ws.lu,
+		cols:  ws.cols,
+		b:     ws.b,
+		lo:    ws.lo,
+		hi:    ws.hi,
+		cost:  ws.cost,
+		basis: ws.basis,
+		state: ws.state,
+		x:     ws.x,
+		f:     &ws.lu,
 	}
 	t.basisDirty = true
 	t.maxIter = 5000 + 40*(m+nStru)
@@ -648,8 +621,8 @@ func (p *Problem) prepTableau() *tableau {
 
 // newTableau builds the cold-start tableau: nonbasic structurals and
 // slacks on their nearest bounds, and a signed artificial basis
-// absorbing the residuals, with B⁻¹ = diag(±1) written in place into
-// workspace memory.
+// absorbing the residuals, factorized in place as the trivial LU of
+// B = diag(±1).
 func (p *Problem) newTableau() *tableau {
 	t := p.prepTableau()
 	m := t.m
@@ -665,19 +638,15 @@ func (p *Problem) newTableau() *tableau {
 			t.state[v], t.x[v] = atLo, 0 // free variable pinned at 0
 		}
 	}
-	// Artificial basis absorbing the residuals. This overwrites binv, so
-	// any cached factorization is gone until saveCache re-validates one.
-	// The signed identity below is an exact inverse of the start basis,
-	// so the drift counter restarts from zero — without this, repeated
-	// cold solves accumulate toward refactorEvery and pay needless
-	// mid-solve refactorizations.
+	// Artificial basis absorbing the residuals. This overwrites the
+	// factors, so any cached factorization is gone until saveCache
+	// re-validates one. The signed diagonal below is an exact
+	// factorization of the start basis, so the drift counter restarts
+	// from zero — without this, repeated cold solves accumulate toward
+	// refactorEvery and pay needless mid-solve refactorizations.
 	t.ws.basisValid = false
 	t.ws.updatesSinceRefactor = 0
-	if t.sparse {
-		t.f.setIdentity(m)
-	} else {
-		identInto(t.binv, m)
-	}
+	t.f.setIdentity(m)
 	resid := t.ws.resid
 	copy(resid, t.b)
 	for v := 0; v < t.nArt; v++ {
@@ -699,13 +668,7 @@ func (p *Problem) newTableau() *tableau {
 		t.basis[i] = a
 		t.state[a] = basic
 		t.x[a] = math.Abs(resid[i])
-		// B = diag(±1) for the artificial start basis: its exact inverse is
-		// written in place (dense) or installed as a trivial U (sparse).
-		if t.sparse {
-			t.f.uDiag[i] = sign
-		} else {
-			t.binv[i*m+i] = sign
-		}
+		t.f.uDiag[i] = sign // B = diag(±1): a trivial U, no L
 	}
 	return t
 }
@@ -745,16 +708,16 @@ func (t *tableau) phase2() Status {
 	return t.simplex(t.cost)
 }
 
-// applyEta counts one product-form update of B⁻¹ (the per-pivot row
-// elimination the callers just performed) and, every refactorEvery
+// applyEta counts one product-form update of the basis representation
+// (the eta column the callers just appended) and, every refactorEvery
 // updates — accumulated across solves through the workspace cache —
-// rebuilds the inverse from scratch for numerical hygiene. Returns false
-// when that periodic refactorization finds the basis numerically
-// singular; callers abort with IterLimit and the warm path falls back.
+// refactorizes from scratch for numerical hygiene. Returns false when
+// that periodic refactorization finds the basis numerically singular;
+// callers abort with IterLimit and the warm path falls back.
 func (t *tableau) applyEta() bool {
 	t.etaUpd++
 	t.basisDirty = true
-	t.ws.basisValid = false // binv no longer matches any cached basis
+	t.ws.basisValid = false // the factors no longer match any cached basis
 	t.ws.updatesSinceRefactor++
 	if t.ws.updatesSinceRefactor >= refactorEvery {
 		if !t.factorize() {
@@ -766,12 +729,12 @@ func (t *tableau) applyEta() bool {
 	return true
 }
 
-// saveCache records that the workspace's binv is the inverse of the
+// saveCache records that the workspace's factors represent the
 // tableau's final basis, so the next warm install of exactly this basis
 // can skip factorization. A basis holding a sign-flipped artificial
 // column is not cacheable: warm tableaus rebuild artificials with +1
 // coefficients, which would silently change the matrix behind the
-// cached inverse.
+// cached factors.
 func (t *tableau) saveCache() {
 	ws := t.ws
 	if t.invBad {
@@ -786,7 +749,6 @@ func (t *tableau) saveCache() {
 		}
 	}
 	ws.basisValid = true
-	ws.cacheSparse = t.sparse
 	ws.cachedBasis = append(ws.cachedBasis[:0], t.basis...)
 }
 
@@ -870,15 +832,15 @@ func (t *tableau) simplex(c []float64) Status {
 			return Unbounded
 		}
 		if leave >= 0 && t.ws.updatesSinceRefactor > 0 {
-			// Pivot stability guard: dividing the basis inverse by a pivot
-			// element that is tiny relative to the direction vector's largest
-			// entry multiplies every accumulated rounding error by the same
-			// huge factor, and one such pivot is enough to corrupt B⁻¹ beyond
+			// Pivot stability guard: an eta column whose pivot element is
+			// tiny relative to the direction vector's largest entry
+			// multiplies every accumulated rounding error by the same huge
+			// factor, and one such pivot is enough to corrupt B⁻¹ beyond
 			// repair (observed: |w| entries of 1e14 turning a degenerate step
 			// into an 0.04 bound violation the primal loop can never undo).
 			// Tiny relative pivots are almost always artifacts of eta-update
 			// drift, so rebuild the factorization and re-price; a pivot that
-			// is still tiny on a fresh inverse is accepted as genuine.
+			// is still tiny on fresh factors is accepted as genuine.
 			wmax := 0.0
 			for i := 0; i < m; i++ {
 				if a := math.Abs(w[i]); a > wmax {
@@ -929,7 +891,7 @@ func (t *tableau) simplex(c []float64) Status {
 		}
 		t.basis[leave] = enter
 		t.state[enter] = basic
-		t.updateInverse(leave, w)
+		t.f.appendEta(leave, w)
 		if !t.applyEta() {
 			return IterLimit
 		}
@@ -981,7 +943,6 @@ func (t *tableau) price(c, y []float64, bland bool) (enter, dir int) {
 // refreshBasics recomputes basic variable values from scratch to flush
 // accumulated floating-point drift.
 func (t *tableau) refreshBasics() {
-	m := t.m
 	r := t.ws.resid
 	copy(r, t.b)
 	for v := 0; v < t.n; v++ {
@@ -992,114 +953,45 @@ func (t *tableau) refreshBasics() {
 			r[tm.Var] -= tm.Coef * t.x[v]
 		}
 	}
-	if t.sparse {
-		t.f.ftran(r)
-		for i := 0; i < m; i++ {
-			t.x[t.basis[i]] = r[i]
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		sum := 0.0
-		row := t.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			sum += row[k] * r[k]
-		}
-		t.x[t.basis[i]] = sum
+	t.f.ftran(r)
+	for i := 0; i < t.m; i++ {
+		t.x[t.basis[i]] = r[i]
 	}
 }
 
 // computeMultipliers computes the simplex multipliers y = c_B·B⁻¹ into
-// the workspace's y vector: a dense row sweep over the explicit inverse,
-// or one BTRAN against the sparse factors.
+// the workspace's y vector by one BTRAN against the factors.
 func (t *tableau) computeMultipliers(c []float64) {
-	m, y := t.m, t.ws.y
-	if t.sparse {
-		cb := t.f.cw
-		for i := 0; i < m; i++ {
-			cb[i] = c[t.basis[i]]
-		}
-		t.f.btran(cb, y)
-		return
+	cb := t.f.cw
+	for i := 0; i < t.m; i++ {
+		cb[i] = c[t.basis[i]]
 	}
-	for i := 0; i < m; i++ {
-		y[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		cb := c[t.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		row := t.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			y[k] += cb * row[k]
-		}
-	}
+	t.f.btran(cb, t.ws.y)
 }
 
 // ftranColumn computes the direction w = B⁻¹·A_enter into the
-// workspace's w vector.
+// workspace's w vector by one FTRAN against the factors.
 func (t *tableau) ftranColumn(enter int) {
-	m, w := t.m, t.ws.w
-	for i := 0; i < m; i++ {
+	w := t.ws.w
+	for i := 0; i < t.m; i++ {
 		w[i] = 0
 	}
-	if t.sparse {
-		for _, tm := range t.cols[enter] {
-			w[tm.Var] += tm.Coef
-		}
-		t.f.ftran(w)
-		return
-	}
 	for _, tm := range t.cols[enter] {
-		for i := 0; i < m; i++ {
-			w[i] += t.binv[i*m+tm.Var] * tm.Coef
-		}
+		w[tm.Var] += tm.Coef
 	}
+	t.f.ftran(w)
 }
 
-// binvRow returns row r of B⁻¹ (the BTRAN of the r-th unit vector): the
-// dense engine hands out its matrix row in place; the sparse engine
-// solves into the workspace's rho scratch.
+// binvRow returns row r of B⁻¹ (the BTRAN of the r-th unit vector),
+// solved into the workspace's rho scratch.
 func (t *tableau) binvRow(r int) []float64 {
-	m := t.m
-	if !t.sparse {
-		return t.binv[r*m : r*m+m]
-	}
 	cb, rho := t.f.cw, t.ws.rho
-	for i := 0; i < m; i++ {
+	for i := 0; i < t.m; i++ {
 		cb[i] = 0
 	}
 	cb[r] = 1
 	t.f.btran(cb, rho)
 	return rho
-}
-
-// updateInverse applies a pivot with direction column w and leaving row
-// r to the basis representation: in-place row elimination on the dense
-// inverse, or one appended product-form eta on the sparse factors.
-func (t *tableau) updateInverse(r int, w []float64) {
-	if t.sparse {
-		t.f.appendEta(r, w)
-		return
-	}
-	m := t.m
-	piv := w[r]
-	brow := t.binv[r*m : r*m+m]
-	inv := 1 / piv
-	for k := 0; k < m; k++ {
-		brow[k] *= inv
-	}
-	for i := 0; i < m; i++ {
-		if i == r || w[i] == 0 {
-			continue
-		}
-		f := w[i]
-		row := t.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			row[k] -= f * brow[k]
-		}
-	}
 }
 
 // ErrBadModel reports structurally invalid model input.

@@ -5,8 +5,8 @@ import "math"
 // Presolve: affine-substitution reduction. The physical-synthesis models
 // are dominated by two-term equality rows — x_r = x_l + w (constraint 1),
 // attachment glue (x_f = x_block), control-rect bindings — so eliminating
-// one variable per such row roughly halves the working problem, which the
-// dense simplex repays quadratically.
+// one variable per such row roughly halves the working problem the
+// simplex pivots over.
 //
 // The reduction maintains a union-find over variables where every member
 // is an affine function of its root: x_v = K·x_root + C. Two-term
@@ -166,7 +166,6 @@ func (p *Problem) presolve() *presolved {
 	ps.prob = NewProblem()
 	ps.prob.deadline = p.deadline
 	ps.prob.interrupt = p.interrupt
-	ps.prob.kernel = p.kernel
 	ps.rootOf = make([]int, n)
 	for i := range ps.rootOf {
 		ps.rootOf[i] = -1

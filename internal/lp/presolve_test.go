@@ -212,8 +212,7 @@ func TestPresolveNoReductionPassthrough(t *testing.T) {
 
 func TestPresolveFoldsKernelCounters(t *testing.T) {
 	// A presolve-reduced solve runs on an inner Problem; its kernel
-	// tallies must fold back into the outer one, and the outer kernel
-	// mode must reach the reduced problem. The large guided layout
+	// tallies must fold back into the outer one. The large guided layout
 	// models solve exactly this way — without the fold their
 	// basis-nonzero peak read zero.
 	build := func() *Problem {
@@ -224,22 +223,19 @@ func TestPresolveFoldsKernelCounters(t *testing.T) {
 		p.AddConstraint([]Term{{xl, 1}}, GE, 3)
 		return p
 	}
-	for _, k := range []Kernel{KernelDense, KernelSparse} {
-		p := build()
-		p.SetKernel(k)
-		if ps := p.presolve(); ps == nil {
-			t.Fatal("model should presolve")
-		}
-		solveOK(t, p)
-		if p.BasisNonzeroPeak() == 0 {
-			t.Fatalf("kernel %v: basis-nonzero peak not folded from the reduced solve", k)
-		}
-		if k == KernelSparse && p.RefactorizationCount() == 0 {
-			// The reduced cold solve installs no basis and stays under the
-			// refactorization interval, so refactorizations may be zero —
-			// but the peak above proves foldTableau ran on the inner
-			// problem and its tallies reached the outer counters.
-			t.Log("sparse reduced solve finished without refactorizing (expected for tiny models)")
-		}
+	p := build()
+	if ps := p.presolve(); ps == nil {
+		t.Fatal("model should presolve")
+	}
+	solveOK(t, p)
+	if p.BasisNonzeroPeak() == 0 {
+		t.Fatal("basis-nonzero peak not folded from the reduced solve")
+	}
+	if p.RefactorizationCount() == 0 {
+		// The reduced cold solve installs no basis and stays under the
+		// refactorization interval, so refactorizations may be zero —
+		// but the peak above proves foldTableau ran on the inner
+		// problem and its tallies reached the outer counters.
+		t.Log("reduced solve finished without refactorizing (expected for tiny models)")
 	}
 }

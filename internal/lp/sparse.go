@@ -17,9 +17,13 @@ import "math"
 // Between refactorizations, pivots append product-form eta columns to an
 // eta file instead of touching the factors, so B⁻¹ is represented as
 // E_k⁻¹…E_1⁻¹·(LU)⁻¹ and both FTRAN (w = B⁻¹a) and BTRAN (y = B⁻ᵀc)
-// stay O(nnz). The counted periodic refactorization (refactorEvery) and
-// the cross-solve factorization cache work exactly as on the dense path:
-// the factors-plus-eta-file pair is the cached object.
+// stay O(nnz). The counted periodic refactorization (refactorEvery)
+// flushes the eta file, and the cross-solve factorization cache keeps
+// the factors-plus-eta-file pair from one solve to the next.
+//
+// Fill-in is not capped: a basis that wants a near-dense factorization
+// completes on the grow-only arenas, whose worst case, O(m²), is the
+// memory an explicit inverse would need.
 
 const (
 	// luTau is the threshold-pivoting relaxation: any row whose column
@@ -29,17 +33,6 @@ const (
 	// luSingTol: a column whose largest eligible entry is below this is
 	// declared numerically singular.
 	luSingTol = 1e-9
-	// luFillFactor bounds accepted fill-in: a factorization whose
-	// off-diagonal nonzeros exceed luFillFactor·(nnz(B)+m) aborts and the
-	// run falls back to the dense inverse (counted as a DenseFallback).
-	luFillFactor = 16
-)
-
-// sparseLU factorization outcomes.
-const (
-	luOK = iota
-	luSingular
-	luFill
 )
 
 // sparseLU holds the factors, the eta file and every scratch vector the
@@ -122,7 +115,7 @@ func (f *sparseLU) ensure(m int) {
 	f.rowCnt = growI32(f.rowCnt, m)
 	// xw needs no clearing: a fresh allocation is zeroed by make, and
 	// every factorize pass restores zeros before returning (including the
-	// singular/fill abort paths), so the zero-outside-live-pattern
+	// singular abort path), so the zero-outside-live-pattern
 	// invariant holds across ensure calls of any size.
 }
 
@@ -157,11 +150,11 @@ func (f *sparseLU) setIdentity(m int) {
 }
 
 // factorize computes the LU factors of the basis matrix whose column j
-// is cols[basis[j]]. Returns the outcome plus nnz(B) and the fill-in
-// (factor nonzeros beyond nnz(B)) for the observability counters. On
-// luSingular/luFill the factors are unusable and must not be solved
-// against.
-func (f *sparseLU) factorize(basis []int, cols [][]Term, m int) (status, bNnz, fill int) {
+// is cols[basis[j]]. Returns whether B is nonsingular, plus nnz(B) and
+// the fill-in (factor nonzeros beyond nnz(B)) for the observability
+// counters. When ok is false the factors are unusable and must not be
+// solved against.
+func (f *sparseLU) factorize(basis []int, cols [][]Term, m int) (ok bool, bNnz, fill int) {
 	f.ensure(m)
 	f.resetEtas()
 	f.lIdx = f.lIdx[:0]
@@ -200,7 +193,6 @@ func (f *sparseLU) factorize(basis []int, cols [][]Term, m int) (status, bNnz, f
 		bkt[f.cnt[j]]++
 	}
 
-	fillMax := luFillFactor * (bNnz + m)
 	for k := 0; k < m; k++ {
 		j := int(f.ord[k])
 		col := cols[basis[j]]
@@ -284,7 +276,7 @@ func (f *sparseLU) factorize(basis []int, cols [][]Term, m int) (status, bNnz, f
 			for q := top; q < m; q++ {
 				f.xw[f.pat[q]] = 0
 			}
-			return luSingular, bNnz, 0
+			return false, bNnz, 0
 		}
 		pr := int32(-1)
 		prCnt := int32(math.MaxInt32)
@@ -324,19 +316,16 @@ func (f *sparseLU) factorize(basis []int, cols [][]Term, m int) (status, bNnz, f
 		f.posOfRow[pr] = int32(k)
 		f.lPtr[k+1] = int32(len(f.lIdx))
 		f.uPtr[k+1] = int32(len(f.uIdx))
-		if len(f.lIdx)+len(f.uIdx) > fillMax {
-			return luFill, bNnz, 0
-		}
 	}
 	fill = len(f.lIdx) + len(f.uIdx) + m - bNnz
 	if fill < 0 {
 		fill = 0
 	}
-	return luOK, bNnz, fill
+	return true, bNnz, fill
 }
 
 // ftran solves B·w = z in place: z enters row-indexed and leaves as the
-// basis-position-indexed solution (the dense kernel's w = B⁻¹·a).
+// basis-position-indexed solution w = B⁻¹·z.
 func (f *sparseLU) ftran(z []float64) {
 	m := f.m
 	for k := 0; k < m; k++ {
@@ -378,8 +367,8 @@ func (f *sparseLU) ftran(z []float64) {
 }
 
 // btran solves Bᵀ·y = c: c is basis-position-indexed and consumed as
-// scratch; y receives the row-indexed result (the dense kernel's
-// y = c_B·B⁻¹). c and y must be distinct slices.
+// scratch; y receives the row-indexed result y = c·B⁻¹. c and y must be
+// distinct slices.
 func (f *sparseLU) btran(c, y []float64) {
 	m := f.m
 	for e := len(f.etaPos) - 1; e >= 0; e-- {
@@ -415,8 +404,8 @@ func (f *sparseLU) btran(c, y []float64) {
 }
 
 // appendEta records the pivot that replaced basis position r with the
-// direction column w (w = B⁻¹·A_enter, position-indexed) — the sparse
-// counterpart of the dense kernel's in-place inverse update.
+// direction column w (w = B⁻¹·A_enter, position-indexed): the
+// product-form update of the basis representation.
 func (f *sparseLU) appendEta(r int, w []float64) {
 	f.etaPos = append(f.etaPos, int32(r))
 	f.etaDiag = append(f.etaDiag, w[r])

@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// checkInverseOps is the engine-agnostic counterpart of
-// checkInverseExact: instead of reading the dense B⁻¹ element-wise, it
-// verifies the basis representation through the same FTRAN operation the
-// simplex uses — B⁻¹·A_v must equal the j-th unit vector for the
-// variable v basic in row j, within the 1e-6 drift budget.
+// checkInverseOps verifies the basis representation through the same
+// FTRAN operation the simplex uses: B⁻¹·A_v must equal the j-th unit
+// vector for the variable v basic in row j, within the 1e-6 drift
+// budget.
 func checkInverseOps(t *testing.T, p *Problem, seed int64, step int) {
 	t.Helper()
 	tb := &p.ws.tab
@@ -30,70 +29,21 @@ func checkInverseOps(t *testing.T, p *Problem, seed int64, step int) {
 	}
 }
 
-// TestKernelParse pins the strict flag grammar of ParseKernel.
-func TestKernelParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-		err  bool
-	}{
-		{"", KernelAuto, false},
-		{"auto", KernelAuto, false},
-		{"dense", KernelDense, false},
-		{"sparse", KernelSparse, false},
-		{"Sparse", KernelAuto, true},
-		{"lu", KernelAuto, true},
-	} {
-		got, err := ParseKernel(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
-		}
-	}
-	for _, k := range []Kernel{KernelAuto, KernelDense, KernelSparse} {
-		if back, err := ParseKernel(k.String()); err != nil || back != k {
-			t.Errorf("ParseKernel(%v.String()) = %v, %v", k, back, err)
-		}
-	}
-}
-
-// TestCloneInheritsKernel: branch-and-bound worker clones must solve
-// with the same engine as the problem they were cloned from.
-func TestCloneInheritsKernel(t *testing.T) {
-	p := NewProblem()
-	p.SetKernel(KernelSparse)
-	if got := p.Clone().KernelMode(); got != KernelSparse {
-		t.Fatalf("clone kernel = %v, want sparse", got)
-	}
-}
-
-// TestSparseMatchesDenseRandom solves the randomized warm-start fixtures
-// under both engines and requires identical statuses and objectives:
-// the factorized path may pivot differently but must prove the same
-// optima.
-func TestSparseMatchesDenseRandom(t *testing.T) {
+// TestSolveMatchesVertexOracle solves random boxed LPs cold and
+// requires the status and objective the exhaustive vertex oracle proves.
+func TestSolveMatchesVertexOracle(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
 		seeds = 40
 	}
+	var o vertexOracle
 	for seed := int64(0); seed < seeds; seed++ {
-		dense := randomLP(rand.New(rand.NewSource(seed)))
-		dense.SetKernel(KernelDense)
-		sparse := randomLP(rand.New(rand.NewSource(seed)))
-		sparse.SetKernel(KernelSparse)
-		ds, err := dense.Solve()
+		p := randomLP(rand.New(rand.NewSource(seed)))
+		sol, err := p.Solve()
 		if err != nil {
-			t.Fatalf("seed %d dense: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ss, err := sparse.Solve()
-		if err != nil {
-			t.Fatalf("seed %d sparse: %v", seed, err)
-		}
-		if ds.Status != ss.Status {
-			t.Fatalf("seed %d: dense status %v, sparse status %v", seed, ds.Status, ss.Status)
-		}
-		if ds.Status == Optimal && math.Abs(ds.Obj-ss.Obj) > 1e-6 {
-			t.Fatalf("seed %d: dense obj %v, sparse obj %v", seed, ds.Obj, ss.Obj)
-		}
+		o.check(t, p, sol, seed, -1)
 	}
 }
 
@@ -105,7 +55,6 @@ func TestSparseBtranConsistency(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomLP(rng)
-		p.SetKernel(KernelSparse)
 		sol, err := p.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -114,9 +63,6 @@ func TestSparseBtranConsistency(t *testing.T) {
 			continue
 		}
 		tb := &p.ws.tab
-		if !tb.sparse {
-			t.Fatalf("seed %d: tableau not sparse under KernelSparse", seed)
-		}
 		m := tb.m
 		c := make([]float64, m)
 		for i := range c {
@@ -138,19 +84,19 @@ func TestSparseBtranConsistency(t *testing.T) {
 	}
 }
 
-// TestSparseUpdatesMatchRefactorization is the sparse half of the
-// numerical-drift property (see TestEtaUpdatesMatchRefactorization):
-// with periodic refactorization disabled, 60-pivot-chain solves
-// accumulate eta columns on the LU factors across solves via the
-// factorization cache, and the factor-plus-eta operator must still
-// agree with the basis it represents — and with a reference run that
-// refactorizes after every pivot — to 1e-6.
+// TestSparseUpdatesMatchRefactorization is the numerical-drift property
+// of the product-form kernel: with periodic refactorization disabled,
+// 60-pivot-chain solves accumulate eta columns on the LU factors across
+// solves via the factorization cache, and the factor-plus-eta operator
+// must still agree with (a) the basis it represents after every solve,
+// (b) a from-scratch refactorization of the final basis, and (c) the
+// objectives of a reference run that refactorizes after every pivot —
+// to 1e-6.
 func TestSparseUpdatesMatchRefactorization(t *testing.T) {
 	const steps = 60
 	runChain := func(seed int64, check bool) []float64 {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomLP(rng)
-		p.SetKernel(KernelSparse)
 		var objs []float64
 		sol, err := p.SolveFrom(nil)
 		if err != nil {
@@ -175,7 +121,7 @@ func TestSparseUpdatesMatchRefactorization(t *testing.T) {
 				basis = nb
 			}
 		}
-		if check && p.ws.tab.m > 0 && p.ws.tab.sparse {
+		if check && p.ws.tab.m > 0 {
 			// Final cross-check: a from-scratch refactorization of the same
 			// basis must leave every FTRAN answer where the eta-updated
 			// factors already had it.
@@ -224,10 +170,10 @@ func TestSparseUpdatesMatchRefactorization(t *testing.T) {
 	}
 }
 
-// TestSparseWorkspaceReuse pins the factorization cache on the sparse
-// path: re-solving an unchanged problem from its own optimal basis must
-// reuse the factors (no refactorization), exactly as the dense cache
-// does, and sparse counters must obey their identities.
+// TestSparseWorkspaceReuse pins the factorization cache: re-solving an
+// unchanged problem from its own optimal basis must reuse the factors
+// (no refactorization), and the kernel counters must obey their
+// identities.
 func TestSparseWorkspaceReuse(t *testing.T) {
 	var p *Problem
 	var sol *Solution
@@ -237,7 +183,6 @@ func TestSparseWorkspaceReuse(t *testing.T) {
 			t.Fatal("no seed produced an optimal root")
 		}
 		p = randomLP(rand.New(rand.NewSource(seed)))
-		p.SetKernel(KernelSparse)
 		sol, err = p.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d root: %v", seed, err)
@@ -261,17 +206,10 @@ func TestSparseWorkspaceReuse(t *testing.T) {
 	if got := p.RefactorizationCount(); got != refacBefore {
 		t.Errorf("RefactorizationCount grew %d -> %d on cache hits", refacBefore, got)
 	}
-	if p.SparseRefactorizationCount() > p.RefactorizationCount() {
-		t.Errorf("SparseRefactorizations %d > Refactorizations %d",
-			p.SparseRefactorizationCount(), p.RefactorizationCount())
+	if p.WorkspaceReuseCount() > p.WarmStartCount() {
+		t.Errorf("WorkspaceReuses %d > WarmStarts %d", p.WorkspaceReuseCount(), p.WarmStartCount())
 	}
-	if p.DenseFallbackCount() > p.SolveCount() {
-		t.Errorf("DenseFallbacks %d > Solves %d", p.DenseFallbackCount(), p.SolveCount())
-	}
-	// Now force basis changes until a from-scratch factorization happens;
-	// in sparse mode with no fill blow-up every refactorization must be a
-	// sparse one (Refactorizations = SparseRefactorizations + dense ones,
-	// and these tiny models never trip the fill guard).
+	// Now force basis changes until a from-scratch factorization happens.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 40 && p.RefactorizationCount() == refacBefore; i++ {
 		tightenOne(p, rng)
@@ -283,61 +221,228 @@ func TestSparseWorkspaceReuse(t *testing.T) {
 			basis = nb
 		}
 	}
-	if p.RefactorizationCount() > refacBefore &&
-		p.SparseRefactorizationCount()+p.DenseFallbackCount() == 0 {
-		t.Errorf("Refactorizations grew to %d but SparseRefactorizations=%d DenseFallbacks=%d",
-			p.RefactorizationCount(), p.SparseRefactorizationCount(), p.DenseFallbackCount())
-	}
 	if p.FillInCount() < 0 {
 		t.Errorf("FillInCount = %d, want ≥ 0", p.FillInCount())
 	}
+	if p.EtaUpdateCount() > p.PivotCount() {
+		t.Errorf("EtaUpdates %d > Pivots %d", p.EtaUpdateCount(), p.PivotCount())
+	}
 }
 
-// TestSparseWarmChainsMatchDense drives branch-and-bound-style warm
-// chains under both engines and cross-checks every step's outcome.
-func TestSparseWarmChainsMatchDense(t *testing.T) {
+// TestWarmChainsMatchVertexOracle drives branch-and-bound-style warm
+// chains and checks every step's status and objective against the
+// exhaustive vertex oracle of the tightened problem.
+func TestWarmChainsMatchVertexOracle(t *testing.T) {
 	seeds := int64(60)
 	if testing.Short() {
 		seeds = 15
 	}
+	var o vertexOracle
 	for seed := int64(0); seed < seeds; seed++ {
-		run := func(k Kernel) []float64 {
-			rng := rand.New(rand.NewSource(seed))
-			p := randomLP(rng)
-			p.SetKernel(k)
-			sol, err := p.SolveFrom(nil)
-			if err != nil {
-				t.Fatalf("seed %d %v root: %v", seed, k, err)
-			}
-			basis := sol.Basis()
-			var objs []float64
-			for step := 0; step < 20; step++ {
-				tightenOne(p, rng)
-				sol, err = p.SolveFrom(basis)
-				if err != nil {
-					t.Fatalf("seed %d %v step %d: %v", seed, k, step, err)
-				}
-				if sol.Status == Optimal {
-					objs = append(objs, sol.Obj)
-				} else {
-					objs = append(objs, math.Inf(1))
-				}
-				if nb := sol.Basis(); nb != nil {
-					basis = nb
-				}
-			}
-			return objs
+		rng := rand.New(rand.NewSource(seed))
+		p := randomLP(rng)
+		sol, err := p.SolveFrom(nil)
+		if err != nil {
+			t.Fatalf("seed %d root: %v", seed, err)
 		}
-		dense := run(KernelDense)
-		sparse := run(KernelSparse)
-		for i := range dense {
-			a, b := dense[i], sparse[i]
-			if math.IsInf(a, 1) != math.IsInf(b, 1) {
-				t.Fatalf("seed %d step %d: dense/sparse status mismatch", seed, i)
+		o.check(t, p, sol, seed, -1)
+		basis := sol.Basis()
+		for step := 0; step < 20; step++ {
+			tightenOne(p, rng)
+			sol, err = p.SolveFrom(basis)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if !math.IsInf(a, 1) && math.Abs(a-b) > 1e-5 {
-				t.Fatalf("seed %d step %d: dense obj %v, sparse obj %v", seed, i, a, b)
+			o.check(t, p, sol, seed, step)
+			if nb := sol.Basis(); nb != nil {
+				basis = nb
 			}
 		}
 	}
+}
+
+// vertexOracle solves a small LP whose variables are all boxed by
+// exhaustive vertex enumeration, independently of the simplex. Every
+// vertex of {x : rows, lo ≤ x ≤ hi} solves nv active hyperplanes: k rows
+// taken as equalities and one bound of each of the other nv−k
+// variables. Solving every such system and keeping the feasible points
+// finds the optimum; the region is a polytope, so no feasible vertex
+// means infeasible. Buffers are reused across calls.
+type vertexOracle struct {
+	a          []float64 // dense nr×nv row coefficients
+	m          []float64 // k×k system over the free variables, LU in place
+	piv        []int     // row permutation of m
+	rhs, x     []float64
+	rows, free []int
+}
+
+// check fails the test unless sol has the oracle's status and, when
+// optimal, its objective within 1e-6. step < 0 labels a root solve.
+func (o *vertexOracle) check(t *testing.T, p *Problem, sol *Solution, seed int64, step int) {
+	t.Helper()
+	st, obj := o.solve(p)
+	if sol.Status != st {
+		t.Fatalf("seed %d step %d: status %v, oracle %v", seed, step, sol.Status, st)
+	}
+	if st == Optimal && math.Abs(sol.Obj-obj) > 1e-6 {
+		t.Fatalf("seed %d step %d: obj %v, oracle %v", seed, step, sol.Obj, obj)
+	}
+}
+
+func (o *vertexOracle) solve(p *Problem) (Status, float64) {
+	const ftol = 1e-7
+	nv, nr := p.NumVars(), p.NumRows()
+	o.a = growF(o.a, nr*nv)
+	for i := range o.a {
+		o.a[i] = 0
+	}
+	for r, row := range p.rows {
+		for _, tm := range row.terms {
+			o.a[r*nv+tm.Var] = tm.Coef
+		}
+	}
+	o.x = growF(o.x, nv)
+	best, found := Inf, false
+	for rmask := 0; rmask < 1<<nr; rmask++ {
+		o.rows = o.rows[:0]
+		for r := 0; r < nr; r++ {
+			if rmask&(1<<r) != 0 {
+				o.rows = append(o.rows, r)
+			}
+		}
+		k := len(o.rows)
+		if k > nv {
+			continue
+		}
+		for fmask := 0; fmask < 1<<nv; fmask++ {
+			o.free = o.free[:0]
+			for v := 0; v < nv; v++ {
+				if fmask&(1<<v) != 0 {
+					o.free = append(o.free, v)
+				}
+			}
+			if len(o.free) != k || !o.factor(nv) {
+				continue
+			}
+			// Every lo/hi choice for the nv−k variables held at a bound.
+			for bmask := 0; bmask < 1<<nv; bmask++ {
+				if bmask&fmask != 0 {
+					continue
+				}
+				for v := 0; v < nv; v++ {
+					if fmask&(1<<v) != 0 {
+						continue
+					}
+					if bmask&(1<<v) != 0 {
+						o.x[v] = p.hi[v]
+					} else {
+						o.x[v] = p.lo[v]
+					}
+				}
+				o.solveFree(p, nv)
+				if !vertexFeasible(p, o.x, ftol) {
+					continue
+				}
+				obj := 0.0
+				for v, xv := range o.x {
+					obj += p.cost[v] * xv
+				}
+				if obj < best {
+					best, found = obj, true
+				}
+			}
+		}
+	}
+	if !found {
+		return Infeasible, 0
+	}
+	return Optimal, best
+}
+
+// factor LU-factorizes, with partial pivoting, the k×k system of the
+// selected rows over the free variables. False when it is singular.
+func (o *vertexOracle) factor(nv int) bool {
+	k := len(o.rows)
+	o.m = growF(o.m, k*k)
+	o.piv = growI(o.piv, k)
+	for i, r := range o.rows {
+		o.piv[i] = i
+		for j, v := range o.free {
+			o.m[i*k+j] = o.a[r*nv+v]
+		}
+	}
+	for c := 0; c < k; c++ {
+		pr := c
+		for i := c + 1; i < k; i++ {
+			if math.Abs(o.m[i*k+c]) > math.Abs(o.m[pr*k+c]) {
+				pr = i
+			}
+		}
+		if math.Abs(o.m[pr*k+c]) < 1e-9 {
+			return false
+		}
+		if pr != c {
+			for j := 0; j < k; j++ {
+				o.m[c*k+j], o.m[pr*k+j] = o.m[pr*k+j], o.m[c*k+j]
+			}
+			o.piv[c], o.piv[pr] = o.piv[pr], o.piv[c]
+		}
+		for i := c + 1; i < k; i++ {
+			f := o.m[i*k+c] / o.m[c*k+c]
+			o.m[i*k+c] = f
+			for j := c + 1; j < k; j++ {
+				o.m[i*k+j] -= f * o.m[c*k+j]
+			}
+		}
+	}
+	return true
+}
+
+// solveFree fills the free variables of o.x: the selected rows hold as
+// equalities with every other variable at its chosen bound.
+func (o *vertexOracle) solveFree(p *Problem, nv int) {
+	k := len(o.rows)
+	o.rhs = growF(o.rhs, k)
+	for i := 0; i < k; i++ {
+		r := o.rows[o.piv[i]]
+		b := p.rows[r].rhs
+		for _, tm := range p.rows[r].terms {
+			if !containsInt(o.free, tm.Var) {
+				b -= tm.Coef * o.x[tm.Var]
+			}
+		}
+		o.rhs[i] = b
+	}
+	for i := 0; i < k; i++ {
+		for j := 0; j < i; j++ {
+			o.rhs[i] -= o.m[i*k+j] * o.rhs[j]
+		}
+	}
+	for i := k - 1; i >= 0; i-- {
+		for j := i + 1; j < k; j++ {
+			o.rhs[i] -= o.m[i*k+j] * o.rhs[j]
+		}
+		o.rhs[i] /= o.m[i*k+i]
+	}
+	for j, v := range o.free {
+		o.x[v] = o.rhs[j]
+	}
+}
+
+func vertexFeasible(p *Problem, x []float64, ftol float64) bool {
+	for v, xv := range x {
+		if xv < p.lo[v]-ftol || xv > p.hi[v]+ftol {
+			return false
+		}
+	}
+	return p.RowsSatisfied(x, ftol)
+}
+
+func containsInt(s []int, v int) bool {
+	for _, e := range s {
+		if e == v {
+			return true
+		}
+	}
+	return false
 }

@@ -252,20 +252,18 @@ func (p *Problem) warmResultOK(x []float64) bool {
 	return p.RowsSatisfied(x, vtol)
 }
 
-// installBasis adopts the snapshot's basis and states, producing a valid
-// B⁻¹ in workspace memory. When the workspace's factorization cache
-// already holds the inverse of exactly this basis — the steady-state
-// branch-and-bound case, where a worker expands a child of the node it
-// just solved — the O(m³) Gauss-Jordan rebuild is skipped entirely and
+// installBasis adopts the snapshot's basis and states, producing valid
+// LU factors in workspace memory. When the workspace's factorization
+// cache already holds the factors of exactly this basis — the
+// steady-state branch-and-bound case, where a worker expands a child of
+// the node it just solved — the refactorization is skipped entirely and
 // the solve is tallied as a workspace reuse. Returns false when the
 // basis matrix is numerically singular.
 func (t *tableau) installBasis(b *Basis) bool {
 	copy(t.basis, b.rows)
 	copy(t.state, b.state)
 	t.installed = b
-	// A cache hit requires the cached representation to match this run's
-	// engine: dense binv and sparse factors are not interchangeable.
-	if t.ws.basisValid && t.ws.cacheSparse == t.sparse && intsEqual(t.ws.cachedBasis, b.rows) {
+	if t.ws.basisValid && intsEqual(t.ws.cachedBasis, b.rows) {
 		t.reusedInv = true
 		return true
 	}
@@ -283,9 +281,9 @@ func (p *Problem) newWarmTableau(b *Basis) *tableau {
 	m := t.m
 	// A prior cold solve may have sign-flipped artificial coefficients in
 	// the shared column arena; the warm convention is +1, fixed at zero.
-	// Rewriting a nonbasic column never touches B⁻¹, and saveCache refuses
-	// to cache a basis holding a flipped artificial, so a cache hit can
-	// only ever see +1 columns.
+	// Rewriting a nonbasic column never touches the factors, and
+	// saveCache refuses to cache a basis holding a flipped artificial, so
+	// a cache hit can only ever see +1 columns.
 	for i := 0; i < m; i++ {
 		a := t.nArt + i
 		t.cols[a][0] = Term{Var: i, Coef: 1}
@@ -328,128 +326,26 @@ func (p *Problem) newWarmTableau(b *Basis) *tableau {
 	return t
 }
 
-// factorize rebuilds the basis representation for the currently
-// installed basis from scratch: sparse LU factors on the sparse path,
-// the explicit Gauss-Jordan inverse on the dense one. Returns false when
-// the basis matrix is numerically singular; the factorization cache is
-// invalidated either way until a trusted exit re-validates it
-// (saveCache). A sparse factorization whose fill-in blows past the
-// luFillFactor threshold abandons the sparse engine for the rest of the
-// run and rebuilds the dense inverse instead (counted as a
-// DenseFallback).
+// factorize rebuilds the LU factors of the currently installed basis
+// from scratch. Returns false when the basis matrix is numerically
+// singular; the factorization cache is invalidated either way until a
+// trusted exit re-validates it (saveCache).
 func (t *tableau) factorize() bool {
 	t.ws.basisValid = false
 	t.ws.updatesSinceRefactor = 0
 	t.refac++
 	if t.m == 0 {
-		if t.sparse {
-			t.f.setIdentity(0)
-		}
+		t.f.setIdentity(0)
 		return true
 	}
-	if t.sparse {
-		st, bNnz, fill := t.f.factorize(t.basis, t.cols, t.m)
-		if int64(bNnz) > t.basisNnz {
-			t.basisNnz = int64(bNnz)
-		}
-		switch st {
-		case luOK:
-			t.sparseRefac++
-			t.fillIn += int64(fill)
-			return true
-		case luSingular:
-			return false
-		}
-		// luFill: the basis wants a near-dense factorization — grow the
-		// dense buffers (a rare, amortized allocation) and switch the run
-		// over to the explicit inverse.
-		ws := t.ws
-		ws.binv = growF(ws.binv, t.m*t.m)
-		ws.bmat = growF(ws.bmat, t.m*t.m)
-		t.binv = ws.binv
-		t.sparse = false
-		ws.sparse = false
-		t.denseFB = true
-		return t.factorizeDense()
+	ok, bNnz, fill := t.f.factorize(t.basis, t.cols, t.m)
+	if int64(bNnz) > t.basisNnz {
+		t.basisNnz = int64(bNnz)
 	}
-	bnnz := int64(0)
-	for j := 0; j < t.m; j++ {
-		bnnz += int64(len(t.cols[t.basis[j]]))
+	if ok {
+		t.fillIn += int64(fill)
 	}
-	if bnnz > t.basisNnz {
-		t.basisNnz = bnnz
-	}
-	return t.factorizeDense()
-}
-
-// factorizeDense computes binv = B⁻¹ for the currently installed basis
-// by Gauss-Jordan elimination with partial pivoting, entirely inside
-// workspace memory.
-func (t *tableau) factorizeDense() bool {
-	m := t.m
-	// Dense B from the basis columns, augmented with the identity.
-	bmat := t.ws.bmat
-	binv := t.binv
-	for i := range bmat[:m*m] {
-		bmat[i] = 0
-	}
-	identInto(binv, m)
-	for j := 0; j < m; j++ {
-		v := t.basis[j]
-		if v < 0 || v >= t.n {
-			return false
-		}
-		for _, tm := range t.cols[v] {
-			bmat[tm.Var*m+j] = tm.Coef
-		}
-	}
-	const singTol = 1e-9
-	for col := 0; col < m; col++ {
-		piv, pivAbs := -1, singTol
-		for r := col; r < m; r++ {
-			if a := math.Abs(bmat[r*m+col]); a > pivAbs {
-				piv, pivAbs = r, a
-			}
-		}
-		if piv < 0 {
-			return false
-		}
-		if piv != col {
-			cr := bmat[col*m : col*m+m]
-			pr := bmat[piv*m : piv*m+m]
-			for k := 0; k < m; k++ {
-				cr[k], pr[k] = pr[k], cr[k]
-			}
-			ci := binv[col*m : col*m+m]
-			pi := binv[piv*m : piv*m+m]
-			for k := 0; k < m; k++ {
-				ci[k], pi[k] = pi[k], ci[k]
-			}
-		}
-		crow := bmat[col*m : col*m+m]
-		irow := binv[col*m : col*m+m]
-		inv := 1 / crow[col]
-		for k := 0; k < m; k++ {
-			crow[k] *= inv
-			irow[k] *= inv
-		}
-		for r := 0; r < m; r++ {
-			if r == col {
-				continue
-			}
-			f := bmat[r*m+col]
-			if f == 0 {
-				continue
-			}
-			rrow := bmat[r*m : r*m+m]
-			xrow := binv[r*m : r*m+m]
-			for k := 0; k < m; k++ {
-				rrow[k] -= f * crow[k]
-				xrow[k] -= f * irow[k]
-			}
-		}
-	}
-	return true
+	return ok
 }
 
 // dualSimplex restores primal feasibility from a dual-feasible basis with
@@ -552,7 +448,7 @@ func (t *tableau) dualSimplex(c []float64) Status {
 		t.x[out] = target
 		t.basis[r] = enter
 		t.state[enter] = basic
-		t.updateInverse(r, w)
+		t.f.appendEta(r, w)
 		if !t.applyEta() {
 			return IterLimit
 		}

@@ -2,13 +2,12 @@ package lp
 
 // The kernel memory model (see DESIGN.md, "Sparse kernel"): every piece
 // of scratch a simplex run needs — the column-sparse constraint matrix,
-// the basis representation (sparse LU factors, or the flat row-major
-// dense inverse for small models), the working bounds/costs/values and
-// the per-iteration vectors — lives in a Workspace that is reused from
-// solve to solve. Branch and bound performs thousands of LP solves per
-// chip; with a per-worker Workspace the steady-state warm path allocates
-// nothing in either kernel mode (pinned by TestSolveFromSteadyStateAllocs
-// and the make bench-kernel gate).
+// the basis representation (sparse LU factors plus an eta file), the
+// working bounds/costs/values and the per-iteration vectors — lives in a
+// Workspace that is reused from solve to solve. Branch and bound
+// performs thousands of LP solves per chip; with a per-worker Workspace
+// the steady-state warm path allocates nothing (pinned by
+// TestSolveFromSteadyStateAllocs and the make bench-kernel gate).
 //
 // The Workspace also caches the factorization itself: the basis
 // representation is maintained across pivots by product-form (eta)
@@ -16,13 +15,8 @@ package lp
 // workspace already holds factors for, refactorization is skipped
 // entirely (WorkspaceReuseCount). Numerical hygiene comes from a counted
 // periodic refactorization: after refactorEvery eta updates the factors
-// are rebuilt from scratch (RefactorizationCount, split out as
-// SparseRefactorizationCount on the LU engine), and every warm result
+// are rebuilt from scratch (RefactorizationCount), and every warm result
 // is still verified against the original rows before it is trusted.
-// Every solve runs the sparse engine unless the Problem's Kernel mode
-// is KernelDense (kernel.go). A sparse factorization that blows the
-// fill threshold flips the workspace to the dense engine for good
-// (DenseFallbackCount).
 
 // defaultRefactorEvery is the number of product-form (eta) updates the
 // kernel lets accumulate on the basis representation — across solves,
@@ -33,7 +27,7 @@ const defaultRefactorEvery = 512
 var refactorEvery = defaultRefactorEvery
 
 // SetRefactorInterval sets how many eta (product-form) updates may be
-// applied to B⁻¹ before the kernel forces a from-scratch
+// applied to the LU factors before the kernel forces a from-scratch
 // refactorization, returning the previous value. n ≤ 0 restores the
 // default. Interval 1 refactorizes after every pivot — the reference
 // behaviour the numerical-drift property tests compare the eta path
@@ -70,40 +64,26 @@ type Workspace struct {
 	terms  []Term
 	colOff []int
 
-	// Flat simplex state. binv is the m×m row-major basis inverse; bmat
-	// is the factorization scratch of the same shape. Both are grown only
-	// while the dense engine is selected (or on a sparse run's dense
-	// fallback) — the sparse path must not pay O(m²) memory.
-	binv []float64
-	bmat []float64
-
-	// lu holds the sparse engine's factors, eta file and scratch; rho is
-	// the BTRAN-unit output buffer (binvRow) the sparse path solves into.
+	// lu holds the basis factors, eta file and scratch; rho is the
+	// BTRAN-unit output buffer binvRow solves into.
 	lu  sparseLU
 	rho []float64
-
-	// sparse records the engine chosen for the solve in flight (and, via
-	// the factorization cache, the engine that produced the cached
-	// representation until the next prepare).
-	sparse bool
 
 	b, lo, hi, cost, x, c1 []float64
 	y, w, resid            []float64
 	basis                  []int
 	state                  []int8
 
-	// Factorization cache: when basisValid, the basis representation —
-	// dense binv when !cacheSparse, LU factors + eta file when
-	// cacheSparse — matches the basis recorded in cachedBasis over the
-	// current cols arena, and the next install of exactly that basis
-	// under the same engine skips the from-scratch rebuild.
+	// Factorization cache: when basisValid, the LU factors + eta file
+	// match the basis recorded in cachedBasis over the current cols
+	// arena, and the next install of exactly that basis skips the
+	// from-scratch rebuild.
 	basisValid  bool
-	cacheSparse bool
 	cachedBasis []int
 
-	// updatesSinceRefactor counts eta updates applied to binv since the
-	// last from-scratch factorization — across solves, because the cache
-	// carries binv across solves too.
+	// updatesSinceRefactor counts eta updates applied to the factors
+	// since the last from-scratch factorization — across solves, because
+	// the cache carries the factors across solves too.
 	updatesSinceRefactor int
 
 	// tabOptimal records that tab holds the final state of a full-tableau
@@ -165,14 +145,8 @@ func (ws *Workspace) prepare(p *Problem) {
 		ws.rebuildCols(p)
 	}
 	m, n := ws.m, ws.n
-	ws.sparse = p.kernel != KernelDense
-	if ws.sparse {
-		ws.lu.ensure(m)
-		ws.rho = growF(ws.rho, m)
-	} else {
-		ws.binv = growF(ws.binv, m*m)
-		ws.bmat = growF(ws.bmat, m*m)
-	}
+	ws.lu.ensure(m)
+	ws.rho = growF(ws.rho, m)
 	ws.b = growF(ws.b, m)
 	ws.y = growF(ws.y, m)
 	ws.w = growF(ws.w, m)
@@ -196,7 +170,7 @@ func (ws *Workspace) prepare(p *Problem) {
 // term arena: structural columns gathered from the rows, one unit slack
 // column per row, one unit artificial column per row (cold solves flip
 // artificial signs in place per solve). Invalidates the factorization
-// cache — binv is meaningless over a different matrix.
+// cache — the factors are meaningless over a different matrix.
 func (ws *Workspace) rebuildCols(p *Problem) {
 	m := len(p.rows)
 	nStru := len(p.cost)
@@ -259,18 +233,6 @@ func (ws *Workspace) rebuildCols(p *Problem) {
 	for i := 0; i < m; i++ {
 		ws.terms[abase+i] = Term{Var: i, Coef: 1}
 		ws.cols[nStru+m+i] = ws.terms[abase+i : abase+i+1 : abase+i+1]
-	}
-}
-
-// identInto writes the m×m identity into the flat row-major matrix b in
-// place — the workspace-memory replacement for the old per-solve
-// ident(m) allocation.
-func identInto(b []float64, m int) {
-	for i := range b[:m*m] {
-		b[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		b[i*m+i] = 1
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"columbas/internal/lp"
 )
 
 // Solver-equivalence harness: every fixture is solved three ways — the
@@ -164,51 +162,6 @@ func checkEquivalence(t *testing.T, name string, build func() *Model) {
 				r.Stats.RowsRemoved != 0 || r.Stats.CoefsStrengthened != 0) {
 				t.Fatalf("%s: NoPresolve run reported presolve work: %+v", label, r.Stats)
 			}
-		}
-	}
-	// Kernel matrix: the dense explicit-inverse engine and the sparse LU
-	// engine must prove the same status and optimum as brute force on
-	// every fixture. This is the proof obligation behind the factorized
-	// kernel — FTRAN/BTRAN on factors may pivot differently from the
-	// explicit inverse, but never changes what the search proves. The
-	// sparse cell also runs on the pool to cover cross-worker basis
-	// handoffs landing on LU factors.
-	for _, cell := range []struct {
-		kernel  lp.Kernel
-		workers int
-	}{{lp.KernelDense, 1}, {lp.KernelSparse, 1}, {lp.KernelSparse, 4}} {
-		label := fmt.Sprintf("%s kernel=%v workers=%d", name, cell.kernel, cell.workers)
-		r, err := build().Solve(Options{Workers: cell.workers, Kernel: cell.kernel})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if r.Status != bStatus {
-			t.Fatalf("%s: status %v, brute force %v", label, r.Status, bStatus)
-		}
-		if bStatus == Optimal && math.Abs(r.Obj-bObj) > equivTol {
-			t.Fatalf("%s: obj %v, brute force %v (diff %g)",
-				label, r.Obj, bObj, math.Abs(r.Obj-bObj))
-		}
-		if bStatus == Optimal {
-			ok, obj := build().checkFeasible(r.X)
-			if !ok {
-				t.Fatalf("%s: returned infeasible assignment %v", label, r.X)
-			}
-			if math.Abs(obj-r.Obj) > 1e-5 {
-				t.Fatalf("%s: assignment objective %v != reported %v", label, obj, r.Obj)
-			}
-		}
-		if cell.kernel == lp.KernelDense &&
-			(r.Stats.SparseRefactorizations != 0 || r.Stats.DenseFallbacks != 0 || r.Stats.FillIn != 0) {
-			t.Fatalf("%s: dense run reported sparse work: %+v", label, r.Stats)
-		}
-		if r.Stats.SparseRefactorizations > r.Stats.Refactorizations {
-			t.Fatalf("%s: SparseRefactorizations %d > Refactorizations %d",
-				label, r.Stats.SparseRefactorizations, r.Stats.Refactorizations)
-		}
-		if r.Stats.DenseFallbacks > r.Stats.LPSolves {
-			t.Fatalf("%s: DenseFallbacks %d > LPSolves %d",
-				label, r.Stats.DenseFallbacks, r.Stats.LPSolves)
 		}
 	}
 }

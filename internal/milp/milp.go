@@ -340,12 +340,6 @@ type Options struct {
 	// against). Reduced-cost bound fixing at the root is disabled too,
 	// since it needs the root basis's reduced costs.
 	NoWarmStart bool
-	// Kernel selects the LP basis engine every relaxation runs on:
-	// KernelAuto (the zero value) and KernelSparse run the LU-factorized
-	// engine, KernelDense the explicit-inverse reference engine. Applied
-	// to every worker clone, so the whole search runs on one engine
-	// choice.
-	Kernel lp.Kernel
 	// Workers is the number of branch-and-bound workers solving LP
 	// relaxations concurrently. Each worker explores nodes from the
 	// shared best-first frontier on a private copy of the problem and

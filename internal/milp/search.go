@@ -197,7 +197,6 @@ func (s *search) prepareRoot() {
 	s.baseProb = s.m.prob.CloneWithRows()
 	s.baseProb.SetDeadline(s.deadline)
 	s.baseProb.SetInterrupt(s.opt.Interrupt)
-	s.baseProb.SetKernel(s.opt.Kernel)
 	if doPresolve && s.rootPresolve() {
 		// Activity analysis proved no point — integer or not — fits the
 		// bounds: drain the tree. result() turns the empty frontier into
@@ -220,8 +219,6 @@ func (s *search) prepareRoot() {
 	w.EtaUpdates += s.baseProb.EtaUpdateCount()
 	w.Refactorizations += s.baseProb.RefactorizationCount()
 	w.WorkspaceReuses += s.baseProb.WorkspaceReuseCount()
-	w.SparseRefactorizations += s.baseProb.SparseRefactorizationCount()
-	w.DenseFallbacks += s.baseProb.DenseFallbackCount()
 	w.FillIn += s.baseProb.FillInCount()
 	if nnz := s.baseProb.BasisNonzeroPeak(); nnz > w.BasisNonzeros {
 		w.BasisNonzeros = nnz
@@ -254,14 +251,10 @@ func (s *search) run() (*Result, error) {
 		// Cancellation must reach the worker's in-flight LP too: a node
 		// relaxation can outlive the rest of the search by seconds.
 		p.SetInterrupt(s.opt.Interrupt)
-		// Every worker solves on the engine the caller selected (baseProb
-		// may still be the shared model problem, which must not be mutated,
-		// so the kernel is applied to each owned clone).
-		p.SetKernel(s.opt.Kernel)
-		// Each worker owns its kernel workspace: tableau scratch, the flat
-		// B⁻¹ and its factorization cache live for the worker's whole
-		// subtree, so after warm-up the expansion loop runs on recycled
-		// memory (see lp.Workspace).
+		// Each worker owns its kernel workspace: tableau scratch, the LU
+		// factors and their cache live for the worker's whole subtree,
+		// so after warm-up the expansion loop runs on recycled memory
+		// (see lp.Workspace).
 		p.SetWorkspace(lp.NewWorkspace())
 		return p
 	}
@@ -330,8 +323,6 @@ func (s *search) worker(id int, prob *lp.Problem) {
 	w.EtaUpdates += prob.EtaUpdateCount()
 	w.Refactorizations += prob.RefactorizationCount()
 	w.WorkspaceReuses += prob.WorkspaceReuseCount()
-	w.SparseRefactorizations += prob.SparseRefactorizationCount()
-	w.DenseFallbacks += prob.DenseFallbackCount()
 	w.FillIn += prob.FillInCount()
 	if nnz := prob.BasisNonzeroPeak(); nnz > w.BasisNonzeros {
 		w.BasisNonzeros = nnz
@@ -788,13 +779,12 @@ func (s *search) statsSnapshot() SearchStats {
 		st.EtaUpdates += w.EtaUpdates
 		st.Refactorizations += w.Refactorizations
 		st.WorkspaceReuses += w.WorkspaceReuses
-		st.SparseRefactorizations += w.SparseRefactorizations
-		st.DenseFallbacks += w.DenseFallbacks
 		st.FillIn += w.FillIn
 		if w.BasisNonzeros > st.BasisNonzeros {
 			st.BasisNonzeros = w.BasisNonzeros
 		}
 	}
+	st.SparseRefactorizations = st.Refactorizations
 	st.ColdSolves = st.LPSolves - st.WarmStarts
 	st.ColdPivots = st.SimplexPivots - st.WarmPivots
 	return st

@@ -52,40 +52,32 @@ type SearchStats struct {
 	// artificial phase-1 run — the work warm starts exist to skip. Warm
 	// solves contribute zero.
 	Phase1Rows int64
-	// EtaUpdates counts the product-form updates applied to B⁻¹ — one per
-	// basis-changing simplex pivot. EtaUpdates ≤ SimplexPivots always
-	// holds (bound-flip iterations change no basis).
+	// EtaUpdates counts the product-form updates applied to the LU
+	// factors — one per basis-changing simplex pivot. EtaUpdates ≤
+	// SimplexPivots always holds (bound-flip iterations change no basis).
 	EtaUpdates int64
-	// Refactorizations counts from-scratch Gauss-Jordan rebuilds of B⁻¹:
-	// warm-start installs that missed the per-worker factorization cache
-	// plus the counted periodic refactorizations that flush eta-update
-	// drift.
+	// Refactorizations counts from-scratch LU factorizations of the
+	// basis: warm-start installs that missed the per-worker factorization
+	// cache plus the counted periodic refactorizations that flush
+	// eta-update drift.
 	Refactorizations int64
 	// WorkspaceReuses counts LP solves that skipped factorization
-	// entirely because the worker's workspace already held B⁻¹ for
-	// exactly the requested basis — the steady-state parent→child case.
+	// entirely because the worker's workspace already held the factors
+	// of exactly the requested basis — the steady-state parent→child
+	// case.
 	// WorkspaceReuses ≤ WarmStarts always holds.
 	WorkspaceReuses int64
-	// SparseRefactorizations is the share of Refactorizations performed by
-	// the sparse LU engine (Markowitz-ordered factorize instead of a dense
-	// Gauss-Jordan inverse): Refactorizations = SparseRefactorizations +
-	// dense refactorizations, so SparseRefactorizations ≤ Refactorizations
-	// always holds, with equality in pure sparse-mode runs that never trip
-	// the fill guard, and zero in dense-mode runs.
+	// SparseRefactorizations always equals Refactorizations.
+	//
+	// Deprecated: the LP kernel has one engine; read Refactorizations.
 	SparseRefactorizations int64
-	// DenseFallbacks counts sparse factorization attempts abandoned to the
-	// dense engine because LU fill-in exceeded the fill guard; at most one
-	// fallback can happen per LP solve, so DenseFallbacks ≤ LPSolves.
-	// Dense-mode runs report zero.
-	DenseFallbacks int64
-	// FillIn accumulates, over every sparse refactorization, the entries
-	// the LU factors hold beyond the basis's own nonzeros — the memory
-	// price of factorizing. FillIn/SparseRefactorizations is the mean
-	// fill per refactorization the scaling benchmark tracks.
+	// FillIn accumulates, over every refactorization, the entries the LU
+	// factors hold beyond the basis's own nonzeros — the memory price of
+	// factorizing. FillIn/Refactorizations is the mean fill per
+	// refactorization the scaling benchmark tracks.
 	FillIn int64
 	// BasisNonzeros is the high-water basis-matrix nonzero count observed
-	// at factorization time (either engine) — the m-by-m basis's actual
-	// density, the quantity the dense/sparse dispatch heuristic bets on.
+	// at factorization time — the m-by-m basis's actual density.
 	// A high-water mark: Merge takes the max, not the sum.
 	BasisNonzeros int64
 	// RootBoundsFixed counts integer-variable bounds tightened by
@@ -171,17 +163,15 @@ type WorkerStats struct {
 	WarmFallbacks int64
 	WarmPivots    int64
 	Phase1Rows    int64
-	// EtaUpdates / Refactorizations / WorkspaceReuses /
-	// SparseRefactorizations / DenseFallbacks / FillIn are the worker's
-	// share of the kernel memory-model counters, and BasisNonzeros the
-	// worker's own factorization-time high-water mark (see SearchStats).
-	EtaUpdates             int64
-	Refactorizations       int64
-	WorkspaceReuses        int64
-	SparseRefactorizations int64
-	DenseFallbacks         int64
-	FillIn                 int64
-	BasisNonzeros          int64
+	// EtaUpdates / Refactorizations / WorkspaceReuses / FillIn are the
+	// worker's share of the kernel memory-model counters, and
+	// BasisNonzeros the worker's own factorization-time high-water mark
+	// (see SearchStats).
+	EtaUpdates       int64
+	Refactorizations int64
+	WorkspaceReuses  int64
+	FillIn           int64
+	BasisNonzeros    int64
 	// Busy is the wall-clock time the worker spent expanding nodes (LP
 	// solves included); Busy/Wall is the worker's utilization.
 	Busy time.Duration
@@ -225,8 +215,7 @@ func (st *SearchStats) Merge(other SearchStats) {
 	st.EtaUpdates += other.EtaUpdates
 	st.Refactorizations += other.Refactorizations
 	st.WorkspaceReuses += other.WorkspaceReuses
-	st.SparseRefactorizations += other.SparseRefactorizations
-	st.DenseFallbacks += other.DenseFallbacks
+	st.SparseRefactorizations = st.Refactorizations
 	st.FillIn += other.FillIn
 	if other.BasisNonzeros > st.BasisNonzeros {
 		st.BasisNonzeros = other.BasisNonzeros
@@ -264,8 +253,6 @@ func (st *SearchStats) Merge(other SearchStats) {
 		st.PerWorker[i].EtaUpdates += w.EtaUpdates
 		st.PerWorker[i].Refactorizations += w.Refactorizations
 		st.PerWorker[i].WorkspaceReuses += w.WorkspaceReuses
-		st.PerWorker[i].SparseRefactorizations += w.SparseRefactorizations
-		st.PerWorker[i].DenseFallbacks += w.DenseFallbacks
 		st.PerWorker[i].FillIn += w.FillIn
 		if w.BasisNonzeros > st.PerWorker[i].BasisNonzeros {
 			st.PerWorker[i].BasisNonzeros = w.BasisNonzeros

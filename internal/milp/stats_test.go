@@ -3,8 +3,6 @@ package milp
 import (
 	"testing"
 	"time"
-
-	"columbas/internal/lp"
 )
 
 // checkStatsConsistent asserts the internal identities every SearchStats
@@ -46,16 +44,13 @@ func checkStatsConsistent(t *testing.T, st SearchStats, workers int) {
 	if st.WorkspaceReuses > st.WarmStarts {
 		t.Errorf("WorkspaceReuses %d > WarmStarts %d", st.WorkspaceReuses, st.WarmStarts)
 	}
-	if st.SparseRefactorizations > st.Refactorizations {
-		t.Errorf("SparseRefactorizations %d > Refactorizations %d", st.SparseRefactorizations, st.Refactorizations)
+	if st.SparseRefactorizations != st.Refactorizations {
+		t.Errorf("deprecated SparseRefactorizations %d != Refactorizations %d", st.SparseRefactorizations, st.Refactorizations)
 	}
-	if st.DenseFallbacks > st.LPSolves {
-		t.Errorf("DenseFallbacks %d > LPSolves %d", st.DenseFallbacks, st.LPSolves)
+	if st.FillIn > 0 && st.Refactorizations == 0 {
+		t.Errorf("FillIn %d with no refactorizations", st.FillIn)
 	}
-	if st.FillIn > 0 && st.SparseRefactorizations == 0 {
-		t.Errorf("FillIn %d with no sparse refactorizations", st.FillIn)
-	}
-	var nodes, solves, pivots, warm, warmPiv, fallbacks, p1, eta, refac, reuse, sparseRefac, denseFB, fill, nnzMax int64
+	var nodes, solves, pivots, warm, warmPiv, fallbacks, p1, eta, refac, reuse, fill, nnzMax int64
 	for _, w := range st.PerWorker {
 		nodes += w.Nodes
 		solves += w.LPSolves
@@ -67,18 +62,10 @@ func checkStatsConsistent(t *testing.T, st SearchStats, workers int) {
 		eta += w.EtaUpdates
 		refac += w.Refactorizations
 		reuse += w.WorkspaceReuses
-		sparseRefac += w.SparseRefactorizations
-		denseFB += w.DenseFallbacks
 		fill += w.FillIn
 		if w.BasisNonzeros > nnzMax {
 			nnzMax = w.BasisNonzeros
 		}
-	}
-	if sparseRefac != st.SparseRefactorizations {
-		t.Errorf("per-worker sparse refactorizations sum %d != SparseRefactorizations %d", sparseRefac, st.SparseRefactorizations)
-	}
-	if denseFB != st.DenseFallbacks {
-		t.Errorf("per-worker dense fallbacks sum %d != DenseFallbacks %d", denseFB, st.DenseFallbacks)
 	}
 	if fill != st.FillIn {
 		t.Errorf("per-worker fill-in sum %d != FillIn %d", fill, st.FillIn)
@@ -167,41 +154,6 @@ func TestSearchStatsConservation(t *testing.T) {
 	r4, _ := hardKnapsack(14).Solve(Options{Workers: 4})
 	if d := r1.Obj - r4.Obj; d > 1e-6 || d < -1e-6 {
 		t.Errorf("objective differs: sequential %v vs pool %v", r1.Obj, r4.Obj)
-	}
-}
-
-// TestSearchStatsKernelModes pins the engine-attribution of the sparse
-// counters: a forced-dense search reports no sparse work at all, a
-// forced-sparse search attributes every refactorization to the sparse
-// engine (these tiny bases cannot trip the fill guard), and both modes
-// prove the same optimum with consistent stats.
-func TestSearchStatsKernelModes(t *testing.T) {
-	dense, err := hardKnapsack(14).Solve(Options{Workers: 1, Kernel: lp.KernelDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := hardKnapsack(14).Solve(Options{Workers: 1, Kernel: lp.KernelSparse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStatsConsistent(t, dense.Stats, 1)
-	checkStatsConsistent(t, sparse.Stats, 1)
-	if d := dense.Obj - sparse.Obj; d > 1e-6 || d < -1e-6 {
-		t.Errorf("dense obj %v vs sparse obj %v", dense.Obj, sparse.Obj)
-	}
-	if dense.Stats.SparseRefactorizations != 0 || dense.Stats.DenseFallbacks != 0 || dense.Stats.FillIn != 0 {
-		t.Errorf("dense-mode run reported sparse work: %+v", dense.Stats)
-	}
-	if sparse.Stats.Refactorizations > 0 &&
-		sparse.Stats.SparseRefactorizations != sparse.Stats.Refactorizations {
-		t.Errorf("sparse-mode SparseRefactorizations %d != Refactorizations %d",
-			sparse.Stats.SparseRefactorizations, sparse.Stats.Refactorizations)
-	}
-	if sparse.Stats.DenseFallbacks != 0 {
-		t.Errorf("fill guard fired on a tiny basis: %d fallbacks", sparse.Stats.DenseFallbacks)
-	}
-	if sparse.Stats.LPSolves > 0 && sparse.Stats.BasisNonzeros == 0 && sparse.Stats.Refactorizations > 0 {
-		t.Errorf("sparse-mode run never recorded a basis nonzero peak: %+v", sparse.Stats)
 	}
 }
 
@@ -300,7 +252,7 @@ func TestSearchStatsMerge(t *testing.T) {
 		WarmStarts: 8, ColdSolves: 3, WarmStartFallbacks: 1,
 		WarmPivots: 40, ColdPivots: 60, Phase1Rows: 30, RootBoundsFixed: 2,
 		EtaUpdates: 90, Refactorizations: 4, WorkspaceReuses: 6,
-		SparseRefactorizations: 3, DenseFallbacks: 1, FillIn: 12, BasisNonzeros: 40,
+		SparseRefactorizations: 4, FillIn: 12, BasisNonzeros: 40,
 		IncumbentUpdates: 3, RoundingAttempts: 1, RoundingHits: 1,
 		NodesPresolved: 2, BoundsTightened: 7, RowsRemoved: 1, CoefsStrengthened: 3,
 		CutsAdded: 5, CutRounds: 2,
@@ -332,8 +284,8 @@ func TestSearchStatsMerge(t *testing.T) {
 	if a.EtaUpdates != 100 || a.Refactorizations != 5 || a.WorkspaceReuses != 9 {
 		t.Fatalf("kernel counter merge totals wrong: %+v", a)
 	}
-	if a.SparseRefactorizations != 4 || a.DenseFallbacks != 1 || a.FillIn != 16 {
-		t.Fatalf("sparse counter merge totals wrong: %+v", a)
+	if a.SparseRefactorizations != a.Refactorizations || a.FillIn != 16 {
+		t.Fatalf("LU counter merge totals wrong: %+v", a)
 	}
 	if a.BasisNonzeros != 40 {
 		t.Fatalf("BasisNonzeros must merge as a high-water max, got %d", a.BasisNonzeros)

@@ -6,13 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
-	"columbas/internal/lp"
 	"columbas/internal/milp"
 )
 
-// matrixCells enumerates the 2×2×2×2 differential grid: presolve on/off
-// × cuts on/off × dense/sparse kernel × pseudocost/most-fractional
-// branching.
+// matrixCells enumerates the 2×2×2 differential grid: presolve on/off
+// × cuts on/off × pseudocost/most-fractional branching.
 func matrixCells() []struct {
 	name string
 	opt  milp.Options
@@ -23,28 +21,25 @@ func matrixCells() []struct {
 	}
 	for _, pre := range []bool{false, true} {
 		for _, cut := range []bool{false, true} {
-			for _, kern := range []lp.Kernel{lp.KernelDense, lp.KernelSparse} {
-				for _, br := range []milp.BranchRule{milp.BranchPseudocost, milp.BranchMostFractional} {
-					cells = append(cells, struct {
-						name string
-						opt  milp.Options
-					}{
-						name: fmt.Sprintf("presolve=%v,cuts=%v,kernel=%v,branch=%v", !pre, !cut, kern, br),
-						opt: milp.Options{
-							NoPresolve: pre,
-							NoCuts:     cut,
-							Kernel:     kern,
-							Branching:  br,
-						},
-					})
-				}
+			for _, br := range []milp.BranchRule{milp.BranchPseudocost, milp.BranchMostFractional} {
+				cells = append(cells, struct {
+					name string
+					opt  milp.Options
+				}{
+					name: fmt.Sprintf("presolve=%v,cuts=%v,branch=%v", !pre, !cut, br),
+					opt: milp.Options{
+						NoPresolve: pre,
+						NoCuts:     cut,
+						Branching:  br,
+					},
+				})
 			}
 		}
 	}
 	return cells
 }
 
-// TestMPSCorpusSolverMatrix solves every corpus instance in all 16
+// TestMPSCorpusSolverMatrix solves every corpus instance in all 8
 // configuration cells and requires the identical status and (for
 // optimal instances) the identical objective in every cell. Instances
 // with at most 12 integer variables are additionally cross-checked

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -172,9 +173,13 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("netlist: line %d: %s", e.Line, e.Msg)
 }
 
-// Parse reads a netlist description.
+// Parse reads a netlist description in time linear in its length. A
+// line that does not fit bufio.MaxScanTokenSize fails with a ParseError
+// on that line.
 func Parse(r io.Reader) (*Netlist, error) {
 	n := &Netlist{Muxes: 1}
+	units := map[string]bool{}   // declared unit names
+	grouped := map[string]bool{} // units already in a parallel group
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	fail := func(msg string, args ...any) error {
@@ -210,15 +215,16 @@ func Parse(r io.Reader) (*Netlist, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			if n.Unit(u.Name) != nil {
+			if units[u.Name] {
 				return nil, fail("duplicate unit %q", u.Name)
 			}
+			units[u.Name] = true
 			n.Units = append(n.Units, u)
 		case "connect":
 			if len(fields) != 3 {
 				return nil, fail("connect takes exactly two endpoints")
 			}
-			eps, err := parseEndpoints(n, fields[1:])
+			eps, err := parseEndpoints(units, fields[1:])
 			if err != nil {
 				return nil, fail("%v", err)
 			}
@@ -227,7 +233,7 @@ func Parse(r io.Reader) (*Netlist, error) {
 			if len(fields) < 3 {
 				return nil, fail("net takes at least two endpoints")
 			}
-			eps, err := parseEndpoints(n, fields[1:])
+			eps, err := parseEndpoints(units, fields[1:])
 			if err != nil {
 				return nil, fail("%v", err)
 			}
@@ -238,12 +244,15 @@ func Parse(r io.Reader) (*Netlist, error) {
 			}
 			group := fields[1:]
 			for _, name := range group {
-				if n.Unit(name) == nil {
+				if !units[name] {
 					return nil, fail("parallel references unknown unit %q", name)
 				}
-				if n.ParallelGroup(name) >= 0 {
+				if grouped[name] {
 					return nil, fail("unit %q already in a parallel group", name)
 				}
+			}
+			for _, name := range group {
+				grouped[name] = true
 			}
 			n.Parallel = append(n.Parallel, group)
 		default:
@@ -251,6 +260,9 @@ func Parse(r io.Reader) (*Netlist, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, &ParseError{Line: lineNo + 1, Msg: fmt.Sprintf("line too long (limit %d bytes)", bufio.MaxScanTokenSize)}
+		}
 		return nil, err
 	}
 	if n.Name == "" {
@@ -309,7 +321,7 @@ func parseUnit(fields []string) (Unit, error) {
 	return u, nil
 }
 
-func parseEndpoints(n *Netlist, fields []string) ([]Endpoint, error) {
+func parseEndpoints(units map[string]bool, fields []string) ([]Endpoint, error) {
 	var eps []Endpoint
 	for _, f := range fields {
 		switch {
@@ -326,7 +338,7 @@ func parseEndpoints(n *Netlist, fields []string) ([]Endpoint, error) {
 			}
 			eps = append(eps, Endpoint{Terminal: name, Inlet: false})
 		default:
-			if n.Unit(f) == nil {
+			if !units[f] {
 				return nil, fmt.Errorf("unknown unit %q (units must be declared before use)", f)
 			}
 			eps = append(eps, Endpoint{Unit: f})
@@ -374,9 +386,16 @@ func (n *Netlist) Format() string {
 
 // Validate performs semantic checks beyond parsing: pin budgets and
 // parallel-group shape. It returns nil when the netlist is synthesizable.
+// It runs in time linear in the size of the netlist.
 func (n *Netlist) Validate() error {
+	degree := make(map[string]int, len(n.Units))
+	for _, net := range n.Nets {
+		for _, e := range net.Endpoints {
+			degree[e.Unit]++
+		}
+	}
 	for _, u := range n.Units {
-		if d := n.Degree(u.Name); d == 0 {
+		if degree[u.Name] == 0 {
 			return fmt.Errorf("netlist: unit %q has no connections", u.Name)
 		}
 	}

@@ -1,49 +1,13 @@
 package netlist
 
 import (
-	"math/rand"
+	"bufio"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
-
-// TestParserNeverPanics feeds the parser pseudo-random token soup built
-// from the grammar's vocabulary: every input must either parse or return
-// an error — never panic.
-func TestParserNeverPanics(t *testing.T) {
-	vocab := []string{
-		"design", "muxes", "unit", "connect", "net", "parallel",
-		"mixer", "chamber", "sieve", "celltrap",
-		"a", "b", "c", "in:x", "out:y", "in:", "out:",
-		"1", "2", "3", "-5", "w=100", "h=-1", "w=", "#", "\n",
-	}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 500; trial++ {
-		var b strings.Builder
-		tokens := rng.Intn(40)
-		for i := 0; i < tokens; i++ {
-			b.WriteString(vocab[rng.Intn(len(vocab))])
-			if rng.Intn(4) == 0 {
-				b.WriteByte('\n')
-			} else {
-				b.WriteByte(' ')
-			}
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("parser panicked on %q: %v", b.String(), r)
-				}
-			}()
-			n, err := ParseString(b.String())
-			if err == nil && n != nil {
-				// Parsed inputs must survive Format/re-parse.
-				if _, err2 := ParseString(n.Format()); err2 != nil {
-					t.Fatalf("round-trip failed for %q: %v", n.Format(), err2)
-				}
-			}
-		}()
-	}
-}
 
 // Deeply nested / long inputs stay linear.
 func TestParserLargeInput(t *testing.T) {
@@ -67,6 +31,80 @@ func TestParserLargeInput(t *testing.T) {
 	}
 	if n.NumUnits() != 2000 {
 		t.Fatalf("units = %d", n.NumUnits())
+	}
+}
+
+// TestParseLongLineTyped: a line past bufio's token limit is a
+// ParseError on that line, not a bare scanner error.
+func TestParseLongLineTyped(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("design long\nunit m1 mixer\nnet m1")
+	for b.Len() < 90_000 {
+		b.WriteString(" in:x")
+	}
+	b.WriteString("\nconnect m1 out:w\n")
+	_, err := ParseString(b.String())
+	var pe *ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want *ParseError", err, err)
+	}
+	if pe.Line != 3 {
+		t.Fatalf("line %d, want 3 (the long net line)", pe.Line)
+	}
+	if !strings.Contains(pe.Msg, fmt.Sprint(bufio.MaxScanTokenSize)) {
+		t.Fatalf("msg %q does not name the %d-byte limit", pe.Msg, bufio.MaxScanTokenSize)
+	}
+}
+
+// TestParseValidateMiBLinear parses and validates a connected netlist
+// just under the daemon's 1 MiB body cap: 30 000 units in blocks of
+// eight, each block one net chained to the previous block and one
+// parallel group. Parse and Validate are linear, so this takes tens of
+// milliseconds; name lookups by linear scan took seconds on inputs this
+// size.
+func TestParseValidateMiBLinear(t *testing.T) {
+	const units, block = 30_000, 8
+	var b strings.Builder
+	b.WriteString("design mib\n")
+	for i := 0; i < units; i++ {
+		fmt.Fprintf(&b, "unit u%d mixer\n", i)
+	}
+	for k := 0; k < units; k += block {
+		if k == 0 {
+			b.WriteString("net in:x")
+		} else {
+			fmt.Fprintf(&b, "net u%d", k-1)
+		}
+		for i := k; i < k+block; i++ {
+			fmt.Fprintf(&b, " u%d", i)
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "connect u%d out:w\n", units-1)
+	for k := 0; k < units; k += block {
+		b.WriteString("parallel")
+		for i := k; i < k+block; i++ {
+			fmt.Fprintf(&b, " u%d", i)
+		}
+		b.WriteByte('\n')
+	}
+	src := b.String()
+	if len(src) > 1<<20 || len(src) < 900_000 {
+		t.Fatalf("fixture is %d bytes, want just under 1 MiB", len(src))
+	}
+	start := time.Now()
+	n, err := ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("parse+validate of %d bytes took %v, want well under 2 s", len(src), el)
+	}
+	if n.NumUnits() != units || len(n.Parallel) != units/block {
+		t.Fatalf("%d units, %d groups", n.NumUnits(), len(n.Parallel))
 	}
 }
 

@@ -598,6 +598,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"v2 removed option no_cuts", "POST", "/v2/jobs", "application/json",
 			`{"netlist":"design d\nunit m1 mixer\nconnect in:a m1\nconnect m1 out:w\n","options":{"no_cuts":true}}`,
 			http.StatusBadRequest, CodeBadRequest},
+		{"v2 removed option kernel", "POST", "/v2/jobs", "application/json",
+			`{"netlist":"design d\nunit m1 mixer\nconnect in:a m1\nconnect m1 out:w\n","options":{"kernel":"dense"}}`,
+			http.StatusBadRequest, CodeBadRequest},
 		{"v2 unknown job", "GET", "/v2/jobs/doesnotexist", "", "",
 			http.StatusNotFound, CodeJobNotFound},
 		{"v2 unknown job result", "GET", "/v2/jobs/doesnotexist/result", "", "",

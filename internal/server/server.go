@@ -16,7 +16,6 @@ import (
 
 	"columbas/internal/core"
 	"columbas/internal/export"
-	"columbas/internal/lp"
 	"columbas/internal/milp"
 	"columbas/internal/obs"
 )
@@ -71,10 +70,6 @@ type Config struct {
 	// Branching selects the branch-and-bound variable selection rule;
 	// the zero value is pseudocost branching.
 	Branching milp.BranchRule
-	// Kernel selects the LP basis engine for every layout MILP served by
-	// this process (layout.Options.Kernel): auto (zero value) and sparse
-	// run the LU engine, dense the explicit-inverse reference engine.
-	Kernel lp.Kernel
 }
 
 // drainRetryAfter is the backoff hint sent with draining refusals: the
@@ -117,8 +112,6 @@ type Server struct {
 	warmStarts    atomic.Int64
 	etaUpdates    atomic.Int64
 	refactors     atomic.Int64
-	sparseRefacs  atomic.Int64
-	denseFBs      atomic.Int64
 	fillIn        atomic.Int64
 	basisNnz      atomic.Int64 // high-water max, not a sum
 	wsReuses      atomic.Int64
@@ -300,22 +293,26 @@ type SolverStats struct {
 	WarmStarts       int64 `json:"warm_starts"`
 	EtaUpdates       int64 `json:"eta_updates"`
 	Refactorizations int64 `json:"refactorizations"`
-	// SparseRefactorizations ≤ Refactorizations is the sparse LU engine's
-	// share; DenseFallbacks counts sparse factorizations abandoned to the
-	// dense engine on fill blow-up; FillIn is the cumulative LU fill; and
-	// BasisNonzeros is the high-water basis density seen by any worker
-	// (a max across requests, not a sum).
+	// SparseRefactorizations always equals Refactorizations.
+	//
+	// Deprecated: the LP kernel has one engine; read Refactorizations.
 	SparseRefactorizations int64 `json:"sparse_refactorizations"`
-	DenseFallbacks         int64 `json:"dense_fallbacks"`
-	FillIn                 int64 `json:"fill_in"`
-	BasisNonzeros          int64 `json:"basis_nonzeros"`
-	WorkspaceReuses        int64 `json:"workspace_reuses"`
-	CutsAdded              int64 `json:"cuts_added"`
-	CutRounds              int64 `json:"cut_rounds"`
-	NodesPresolved         int64 `json:"nodes_presolved"`
-	BoundsTightened        int64 `json:"bounds_tightened"`
-	Branchings             int64 `json:"branchings"`
-	PseudocostBranches     int64 `json:"pseudocost_branches"`
+	// DenseFallbacks is always 0.
+	//
+	// Deprecated: the LP kernel has no dense engine to fall back to.
+	DenseFallbacks int64 `json:"dense_fallbacks"`
+	// FillIn is the cumulative LU fill, and BasisNonzeros the high-water
+	// basis density seen by any worker (a max across requests, not a
+	// sum).
+	FillIn             int64 `json:"fill_in"`
+	BasisNonzeros      int64 `json:"basis_nonzeros"`
+	WorkspaceReuses    int64 `json:"workspace_reuses"`
+	CutsAdded          int64 `json:"cuts_added"`
+	CutRounds          int64 `json:"cut_rounds"`
+	NodesPresolved     int64 `json:"nodes_presolved"`
+	BoundsTightened    int64 `json:"bounds_tightened"`
+	Branchings         int64 `json:"branchings"`
+	PseudocostBranches int64 `json:"pseudocost_branches"`
 	// The delta family mirrors the milp_delta_* counters: warm starts and
 	// fallbacks of the delta-aware pipeline, and incumbents seeded from a
 	// donor design. All three stay zero on a -no-delta deployment.
@@ -336,8 +333,6 @@ func (s *Server) recordSolverStats(res *core.Result) {
 	s.warmStarts.Add(se.WarmStarts)
 	s.etaUpdates.Add(se.EtaUpdates)
 	s.refactors.Add(se.Refactorizations)
-	s.sparseRefacs.Add(se.SparseRefactorizations)
-	s.denseFBs.Add(se.DenseFallbacks)
 	s.fillIn.Add(se.FillIn)
 	// BasisNonzeros is a high-water mark: CAS-max rather than add.
 	for {
@@ -389,8 +384,7 @@ func (s *Server) snapshot() Stats {
 			WarmStarts:             s.warmStarts.Load(),
 			EtaUpdates:             s.etaUpdates.Load(),
 			Refactorizations:       s.refactors.Load(),
-			SparseRefactorizations: s.sparseRefacs.Load(),
-			DenseFallbacks:         s.denseFBs.Load(),
+			SparseRefactorizations: s.refactors.Load(),
 			FillIn:                 s.fillIn.Load(),
 			BasisNonzeros:          s.basisNnz.Load(),
 			WorkspaceReuses:        s.wsReuses.Load(),
