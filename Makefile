@@ -13,7 +13,8 @@
 #   make milp-check     MPS corpus differential matrix + round-trip + columbamilp CLI goldens
 #   make bench-delta-smoke tiny cold-vs-warm delta run (verdict parity + counter identities)
 #   make bench-delta    the full delta warm-start measurement behind BENCH_delta.json
-#   make verify         vet + race + fuzz smoke + conformance + docs check + serve check + loadtest smoke + delta smoke + milp check (CI gate)
+#   make vet            go vet, and gofmt -l . must print no file
+#   make verify         vet (with gofmt) + race + fuzz smoke + conformance + docs check + serve check + loadtest smoke + delta smoke + milp check (CI gate)
 #   make bench-solver   the sequential-vs-parallel solver benchmark pair
 #   make bench-warmstart warm vs cold pivot/wall numbers for EXPERIMENTS.md
 #   make bench-kernel   LP-kernel benchmarks with -benchmem + the zero-alloc gate
@@ -33,8 +34,14 @@ test: build
 test-short: build
 	$(GO) test -short ./...
 
+# go vet, then a formatting gate: gofmt -l lists every file whose
+# formatting differs from gofmt's, and any listed file fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l . lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # The root package runs its randomized synthesis sweep in -short form
 # here (25 seeds under the race detector); the full 200-seed sweep runs

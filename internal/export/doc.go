@@ -7,4 +7,9 @@
 // Key types: WriteSCR emits the AutoCAD script, WriteSVG and WriteASCII
 // the visual renderings, WriteDXF a minimal DXF, and WriteJSON the
 // JSONDesign document for downstream tooling.
+//
+// The geometry writers (SCR, DXF, SVG and the plan SVG) build one byte
+// buffer each and print every coordinate through appendFixed1, which
+// gives fmt's "%.1f" bytes without its big-decimal path; the SVG writers
+// escape names as XML text.
 package export

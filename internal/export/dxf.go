@@ -1,9 +1,8 @@
 package export
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"columbas/internal/geom"
 	"columbas/internal/module"
@@ -18,105 +17,118 @@ import (
 // channels and closed LWPOLYLINE-equivalent 4-line loops for boxes;
 // coordinates are micrometres.
 func WriteDXF(w io.Writer, d *validate.Design) error {
-	b := &strings.Builder{}
-	wr := func(code int, val string) { fmt.Fprintf(b, "%d\n%s\n", code, val) }
+	b := make([]byte, 0, 512+192*shapes(d))
 
 	// Header.
-	wr(0, "SECTION")
-	wr(2, "HEADER")
-	wr(9, "$ACADVER")
-	wr(1, "AC1009")
-	wr(0, "ENDSEC")
+	b = dxfTag(b, 0, "SECTION")
+	b = dxfTag(b, 2, "HEADER")
+	b = dxfTag(b, 9, "$ACADVER")
+	b = dxfTag(b, 1, "AC1009")
+	b = dxfTag(b, 0, "ENDSEC")
 
 	// Layer table.
-	wr(0, "SECTION")
-	wr(2, "TABLES")
-	wr(0, "TABLE")
-	wr(2, "LAYER")
-	wr(70, "5")
+	b = dxfTag(b, 0, "SECTION")
+	b = dxfTag(b, 2, "TABLES")
+	b = dxfTag(b, 0, "TABLE")
+	b = dxfTag(b, 2, "LAYER")
+	b = dxfTag(b, 70, "5")
 	for i, name := range []string{LayerOutline, LayerFlow, LayerControl, LayerValve, LayerPort} {
-		wr(0, "LAYER")
-		wr(2, name)
-		wr(70, "0")
-		wr(62, fmt.Sprintf("%d", i+1)) // colour index
-		wr(6, "CONTINUOUS")
+		b = dxfTag(b, 0, "LAYER")
+		b = dxfTag(b, 2, name)
+		b = dxfTag(b, 70, "0")
+		b = dxfTag(b, 62, strconv.Itoa(i+1)) // colour index
+		b = dxfTag(b, 6, "CONTINUOUS")
 	}
-	wr(0, "ENDTAB")
-	wr(0, "ENDSEC")
+	b = dxfTag(b, 0, "ENDTAB")
+	b = dxfTag(b, 0, "ENDSEC")
 
 	// Entities.
-	wr(0, "SECTION")
-	wr(2, "ENTITIES")
-	line := func(layer string, a, c geom.Pt) {
-		wr(0, "LINE")
-		wr(8, layer)
-		wr(10, fmt.Sprintf("%.1f", a.X))
-		wr(20, fmt.Sprintf("%.1f", a.Y))
-		wr(11, fmt.Sprintf("%.1f", c.X))
-		wr(21, fmt.Sprintf("%.1f", c.Y))
-	}
-	box := func(layer string, r geom.Rect) {
-		corners := []geom.Pt{
-			{X: r.XL, Y: r.YB}, {X: r.XR, Y: r.YB},
-			{X: r.XR, Y: r.YT}, {X: r.XL, Y: r.YT},
-		}
-		for i := range corners {
-			line(layer, corners[i], corners[(i+1)%4])
-		}
-	}
-	circle := func(layer string, p geom.Pt, radius float64) {
-		wr(0, "CIRCLE")
-		wr(8, layer)
-		wr(10, fmt.Sprintf("%.1f", p.X))
-		wr(20, fmt.Sprintf("%.1f", p.Y))
-		wr(40, fmt.Sprintf("%.1f", radius))
-	}
-
-	box(LayerOutline, d.Chip)
+	b = dxfTag(b, 0, "SECTION")
+	b = dxfTag(b, 2, "ENTITIES")
+	b = dxfBox(b, LayerOutline, d.Chip)
 	for _, m := range d.Modules {
-		box(LayerOutline, m.Box)
+		b = dxfBox(b, LayerOutline, m.Box)
 	}
 	for _, f := range d.Flow {
-		line(LayerFlow, f.Seg.A, f.Seg.B)
+		b = dxfLine(b, LayerFlow, f.Seg.A, f.Seg.B)
 	}
 	for _, m := range d.Modules {
 		for _, s := range m.Flow {
-			line(LayerFlow, s.A, s.B)
+			b = dxfLine(b, LayerFlow, s.A, s.B)
 		}
 	}
 	for _, mx := range muxList(d) {
 		for _, ln := range mx.Lines {
-			line(LayerFlow, ln.Seg.A, ln.Seg.B)
+			b = dxfLine(b, LayerFlow, ln.Seg.A, ln.Seg.B)
 		}
 		for _, cx := range mx.ChannelX {
-			line(LayerControl,
+			b = dxfLine(b, LayerControl,
 				geom.Pt{X: cx, Y: mx.ChannelY0},
 				geom.Pt{X: cx, Y: mx.ChannelY1})
 		}
 	}
 	for _, c := range d.Ctrl {
 		s := ctrlSeg(d, c)
-		line(LayerControl, s.A, s.B)
-	}
-	vb := func(p geom.Pt) {
-		h := module.ValveSize / 2
-		box(LayerValve, geom.Rect{XL: p.X - h, XR: p.X + h, YB: p.Y - h, YT: p.Y + h})
+		b = dxfLine(b, LayerControl, s.A, s.B)
 	}
 	for _, m := range d.Modules {
-		for _, v := range m.Valves() {
-			vb(v.At)
+		for _, l := range m.Lines {
+			for _, v := range l.Valves {
+				b = dxfBox(b, LayerValve, valveBox(v.At))
+			}
 		}
 	}
 	for _, mx := range muxList(d) {
 		for _, v := range mx.Valves {
-			vb(v.At)
+			b = dxfBox(b, LayerValve, valveBox(v.At))
 		}
 	}
 	for _, in := range d.Inlets {
-		circle(LayerPort, in.At, module.DPrime/3)
+		b = dxfTag(b, 0, "CIRCLE")
+		b = dxfTag(b, 8, LayerPort)
+		b = dxfCoord(b, 10, in.At.X)
+		b = dxfCoord(b, 20, in.At.Y)
+		b = dxfCoord(b, 40, module.DPrime/3)
 	}
-	wr(0, "ENDSEC")
-	wr(0, "EOF")
-	_, err := io.WriteString(w, b.String())
+	b = dxfTag(b, 0, "ENDSEC")
+	b = dxfTag(b, 0, "EOF")
+	_, err := w.Write(b)
 	return err
+}
+
+// dxfTag appends one group: the code line, then the value line.
+func dxfTag(b []byte, code int, val string) []byte {
+	b = strconv.AppendInt(b, int64(code), 10)
+	b = append(b, '\n')
+	b = append(b, val...)
+	return append(b, '\n')
+}
+
+// dxfCoord appends one group whose value is a coordinate.
+func dxfCoord(b []byte, code int, v float64) []byte {
+	b = strconv.AppendInt(b, int64(code), 10)
+	b = append(b, '\n')
+	b = appendFixed1(b, v)
+	return append(b, '\n')
+}
+
+func dxfLine(b []byte, layer string, a, c geom.Pt) []byte {
+	b = dxfTag(b, 0, "LINE")
+	b = dxfTag(b, 8, layer)
+	b = dxfCoord(b, 10, a.X)
+	b = dxfCoord(b, 20, a.Y)
+	b = dxfCoord(b, 11, c.X)
+	return dxfCoord(b, 21, c.Y)
+}
+
+// dxfBox appends a box as a closed loop of four LINEs.
+func dxfBox(b []byte, layer string, r geom.Rect) []byte {
+	corners := [4]geom.Pt{
+		{X: r.XL, Y: r.YB}, {X: r.XR, Y: r.YB},
+		{X: r.XR, Y: r.YT}, {X: r.XL, Y: r.YT},
+	}
+	for i := range corners {
+		b = dxfLine(b, layer, corners[i], corners[(i+1)%4])
+	}
+	return b
 }

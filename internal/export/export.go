@@ -2,10 +2,9 @@ package export
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"columbas/internal/geom"
 	"columbas/internal/module"
@@ -25,71 +24,108 @@ const (
 // WriteSCR writes an AutoCAD script that draws the design's two layers:
 // flow geometry as polylines on FLOW, control channels on CONTROL, valves
 // as rectangles on VALVE, module outlines on OUTLINE and fluid ports as
-// circles on PORT. Coordinates are micrometres.
+// circles on PORT. Coordinates are micrometres, printed as "%.1f" by
+// appendFixed1.
 func WriteSCR(w io.Writer, d *validate.Design) error {
-	b := &strings.Builder{}
-	fmt.Fprintf(b, "; Columba S design %q — AutoCAD script\n", d.Name)
-	fmt.Fprintf(b, "; chip %.0f x %.0f um, %d module(s), %d control channel(s)\n",
-		d.Chip.W(), d.Chip.H(), len(d.Modules), len(d.Ctrl))
-	layer := func(name string) { fmt.Fprintf(b, "-LAYER M %s\n\n", name) }
+	b := make([]byte, 0, 256+len(d.Name)+48*shapes(d))
+	b = append(b, "; Columba S design "...)
+	b = strconv.AppendQuote(b, d.Name)
+	b = append(b, " — AutoCAD script\n; chip "...)
+	b = strconv.AppendFloat(b, d.Chip.W(), 'f', 0, 64)
+	b = append(b, " x "...)
+	b = strconv.AppendFloat(b, d.Chip.H(), 'f', 0, 64)
+	b = append(b, " um, "...)
+	b = strconv.AppendInt(b, int64(len(d.Modules)), 10)
+	b = append(b, " module(s), "...)
+	b = strconv.AppendInt(b, int64(len(d.Ctrl)), 10)
+	b = append(b, " control channel(s)\n"...)
 
-	layer(LayerOutline)
-	rect(b, d.Chip)
+	b = scrLayer(b, LayerOutline)
+	b = scrRect(b, d.Chip)
 	for _, m := range d.Modules {
-		rect(b, m.Box)
+		b = scrRect(b, m.Box)
 	}
 
-	layer(LayerFlow)
+	b = scrLayer(b, LayerFlow)
 	for _, f := range d.Flow {
-		line(b, f.Seg)
+		b = scrLine(b, f.Seg)
 	}
 	for _, m := range d.Modules {
 		for _, s := range m.Flow {
-			line(b, s)
+			b = scrLine(b, s)
 		}
 	}
 	for _, mx := range muxList(d) {
 		for _, ln := range mx.Lines {
-			line(b, ln.Seg)
+			b = scrLine(b, ln.Seg)
 		}
 	}
 
-	layer(LayerControl)
+	b = scrLayer(b, LayerControl)
 	for _, c := range d.Ctrl {
-		line(b, ctrlSeg(d, c))
+		b = scrLine(b, ctrlSeg(d, c))
 	}
 
-	layer(LayerValve)
+	b = scrLayer(b, LayerValve)
 	for _, m := range d.Modules {
-		for _, v := range m.Valves() {
-			valveRect(b, v.At)
+		// m.Valves() would allocate a slice per module; walk its lines.
+		for _, l := range m.Lines {
+			for _, v := range l.Valves {
+				b = scrRect(b, valveBox(v.At))
+			}
 		}
 	}
 	for _, mx := range muxList(d) {
 		for _, v := range mx.Valves {
-			valveRect(b, v.At)
+			b = scrRect(b, valveBox(v.At))
 		}
 	}
 
-	layer(LayerPort)
+	b = scrLayer(b, LayerPort)
 	for _, in := range d.Inlets {
-		fmt.Fprintf(b, "CIRCLE %.1f,%.1f %.1f\n", in.At.X, in.At.Y, module.DPrime/3)
+		b = append(b, "CIRCLE "...)
+		b = appendXY(b, in.At)
+		b = append(b, ' ')
+		b = appendFixed1(b, module.DPrime/3)
+		b = append(b, '\n')
 	}
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b)
 	return err
 }
 
-func rect(b *strings.Builder, r geom.Rect) {
-	fmt.Fprintf(b, "RECTANG %.1f,%.1f %.1f,%.1f\n", r.XL, r.YB, r.XR, r.YT)
+func scrLayer(b []byte, name string) []byte {
+	b = append(b, "-LAYER M "...)
+	b = append(b, name...)
+	return append(b, "\n\n"...)
 }
 
-func line(b *strings.Builder, s geom.Seg) {
-	fmt.Fprintf(b, "PLINE %.1f,%.1f %.1f,%.1f \n", s.A.X, s.A.Y, s.B.X, s.B.Y)
+func scrRect(b []byte, r geom.Rect) []byte {
+	b = append(b, "RECTANG "...)
+	b = appendXY(b, geom.Pt{X: r.XL, Y: r.YB})
+	b = append(b, ' ')
+	b = appendXY(b, geom.Pt{X: r.XR, Y: r.YT})
+	return append(b, '\n')
 }
 
-func valveRect(b *strings.Builder, p geom.Pt) {
+func scrLine(b []byte, s geom.Seg) []byte {
+	b = append(b, "PLINE "...)
+	b = appendXY(b, s.A)
+	b = append(b, ' ')
+	b = appendXY(b, s.B)
+	return append(b, " \n"...)
+}
+
+// appendXY appends a point as "x,y".
+func appendXY(b []byte, p geom.Pt) []byte {
+	b = appendFixed1(b, p.X)
+	b = append(b, ',')
+	return appendFixed1(b, p.Y)
+}
+
+// valveBox is the square footprint of a valve centred at p.
+func valveBox(p geom.Pt) geom.Rect {
 	h := module.ValveSize / 2
-	fmt.Fprintf(b, "RECTANG %.1f,%.1f %.1f,%.1f\n", p.X-h, p.Y-h, p.X+h, p.Y+h)
+	return geom.Rect{XL: p.X - h, YB: p.Y - h, XR: p.X + h, YT: p.Y + h}
 }
 
 // ctrlSeg materialises a control channel as a vertical segment from its
@@ -126,7 +162,8 @@ func muxList(d *validate.Design) []*mux.Mux {
 
 // WriteSVG renders the design as an SVG in the style of the paper's
 // figures: flow channels blue, control channels green, valves as filled
-// rectangles, modules as grey outlines, fluid ports as circles.
+// rectangles, modules as grey outlines, fluid ports as circles. Names are
+// escaped as XML text (appendText).
 func WriteSVG(w io.Writer, d *validate.Design) error {
 	// SVG y grows downward; flip around the chip box.
 	flip := func(y float64) float64 { return d.Chip.YT - y + 0 }
@@ -136,77 +173,160 @@ func WriteSVG(w io.Writer, d *validate.Design) error {
 	x := func(v float64) float64 { return (v - d.Chip.XL) * scale }
 	y := func(v float64) float64 { return (flip(v) - 0) * scale }
 
-	b := &strings.Builder{}
-	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.1f %.1f">`+"\n", W, H, W, H)
-	fmt.Fprintf(b, `<title>%s</title>`+"\n", d.Name)
-	fmt.Fprintf(b, `<rect x="0" y="0" width="%.1f" height="%.1f" fill="white" stroke="black" stroke-width="0.5"/>`+"\n", W, H)
+	b := make([]byte, 0, 512+len(d.Name)+96*shapes(d))
+	b = svgOpen(b, W, H)
+	b = append(b, "<title>"...)
+	b = appendText(b, d.Name)
+	b = append(b, "</title>\n"...)
+	b = svgCanvas(b, W, H, "0.5")
 
-	seg := func(s geom.Seg, color string, sw float64) {
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="%.1f"/>`+"\n",
-			x(s.A.X), y(s.A.Y), x(s.B.X), y(s.B.Y), color, sw)
+	sw := module.ChannelW * scale
+	seg := func(b []byte, s geom.Seg, color string) []byte {
+		return svgLine(b, x(s.A.X), y(s.A.Y), x(s.B.X), y(s.B.Y), color, sw)
 	}
-	box := func(r geom.Rect, stroke, fill string) {
-		fmt.Fprintf(b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" stroke="%s" fill="%s" stroke-width="0.4"/>`+"\n",
-			x(r.XL), y(r.YT), r.W()*scale, r.H()*scale, stroke, fill)
-	}
-
 	for _, m := range d.Modules {
-		box(m.Box, "#999999", "none")
+		b = svgRect(b, x(m.Box.XL), y(m.Box.YT), m.Box.W()*scale, m.Box.H()*scale)
+		b = append(b, ` stroke="#999999" fill="none" stroke-width="0.4"/>`+"\n"...)
 	}
 	for _, c := range d.Ctrl {
-		seg(ctrlSeg(d, c), "#2e8b57", module.ChannelW*scale)
+		b = seg(b, ctrlSeg(d, c), "#2e8b57")
 	}
 	for _, mx := range muxList(d) {
 		for _, ln := range mx.Lines {
-			seg(ln.Seg, "#1e66c8", module.ChannelW*scale)
+			b = seg(b, ln.Seg, "#1e66c8")
 		}
 		// Control-channel extensions through the MUX region.
 		for _, cx := range mx.ChannelX {
-			seg(geom.Seg{
+			b = seg(b, geom.Seg{
 				A: geom.Pt{X: cx, Y: mx.ChannelY0},
 				B: geom.Pt{X: cx, Y: mx.ChannelY1},
-			}, "#2e8b57", module.ChannelW*scale)
+			}, "#2e8b57")
 		}
 	}
 	for _, f := range d.Flow {
-		seg(f.Seg, "#1e66c8", module.ChannelW*scale)
+		b = seg(b, f.Seg, "#1e66c8")
 	}
 	for _, m := range d.Modules {
 		for _, s := range m.Flow {
-			seg(s, "#1e66c8", module.ChannelW*scale)
+			b = seg(b, s, "#1e66c8")
 		}
 	}
-	valveColor := map[module.ValveKind]string{
-		module.ValveRegular:    "#e07020",
-		module.ValvePump:       "#8040c0",
-		module.ValveSieve:      "#107040",
-		module.ValveSeparation: "#c02060",
-		module.ValveMux:        "#208080",
-	}
-	valve := func(p geom.Pt, k module.ValveKind) {
-		h := module.ValveSize / 2 * scale
-		fmt.Fprintf(b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`+"\n",
-			x(p.X)-h, y(p.Y)-h, 2*h, 2*h, valveColor[k])
+	h := module.ValveSize / 2 * scale
+	valve := func(b []byte, p geom.Pt, k module.ValveKind) []byte {
+		b = svgRect(b, x(p.X)-h, y(p.Y)-h, 2*h, 2*h)
+		b = append(b, ` fill="`...)
+		b = append(b, valveColor(k)...)
+		return append(b, "\"/>\n"...)
 	}
 	for _, m := range d.Modules {
-		for _, v := range m.Valves() {
-			valve(v.At, v.Kind)
+		for _, l := range m.Lines {
+			for _, v := range l.Valves {
+				b = valve(b, v.At, v.Kind)
+			}
 		}
 	}
 	for _, mx := range muxList(d) {
 		for _, v := range mx.Valves {
-			valve(v.At, module.ValveMux)
+			b = valve(b, v.At, module.ValveMux)
 		}
 	}
 	for _, in := range d.Inlets {
-		fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="%.1f" fill="none" stroke="#1e66c8" stroke-width="0.6"/>`+"\n",
-			x(in.At.X), y(in.At.Y), module.DPrime/3*scale)
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-size="8" fill="#333">%s</text>`+"\n",
-			x(in.At.X)+3, y(in.At.Y)-3, in.Name)
+		b = append(b, `<circle cx="`...)
+		b = appendFixed1(b, x(in.At.X))
+		b = append(b, `" cy="`...)
+		b = appendFixed1(b, y(in.At.Y))
+		b = append(b, `" r="`...)
+		b = appendFixed1(b, module.DPrime/3*scale)
+		b = append(b, `" fill="none" stroke="#1e66c8" stroke-width="0.6"/>`+"\n"...)
+		b = svgText(b, x(in.At.X)+3, y(in.At.Y)-3, "8", in.Name)
 	}
-	fmt.Fprintln(b, "</svg>")
-	_, err := io.WriteString(w, b.String())
+	b = append(b, "</svg>\n"...)
+	_, err := w.Write(b)
 	return err
+}
+
+func valveColor(k module.ValveKind) string {
+	switch k {
+	case module.ValveRegular:
+		return "#e07020"
+	case module.ValvePump:
+		return "#8040c0"
+	case module.ValveSieve:
+		return "#107040"
+	case module.ValveSeparation:
+		return "#c02060"
+	case module.ValveMux:
+		return "#208080"
+	}
+	return ""
+}
+
+// svgOpen appends the <svg> root of a w×h drawing.
+func svgOpen(b []byte, w, h float64) []byte {
+	b = append(b, `<svg xmlns="http://www.w3.org/2000/svg" width="`...)
+	b = strconv.AppendFloat(b, w, 'f', 0, 64)
+	b = append(b, `" height="`...)
+	b = strconv.AppendFloat(b, h, 'f', 0, 64)
+	b = append(b, `" viewBox="0 0 `...)
+	b = appendFixed1(b, w)
+	b = append(b, ' ')
+	b = appendFixed1(b, h)
+	return append(b, "\">\n"...)
+}
+
+// svgCanvas appends the white w×h background with a black border of
+// the given stroke width.
+func svgCanvas(b []byte, w, h float64, stroke string) []byte {
+	b = append(b, `<rect x="0" y="0" width="`...)
+	b = appendFixed1(b, w)
+	b = append(b, `" height="`...)
+	b = appendFixed1(b, h)
+	b = append(b, `" fill="white" stroke="black" stroke-width="`...)
+	b = append(b, stroke...)
+	return append(b, "\"/>\n"...)
+}
+
+// svgRect appends an open <rect x y width height; the caller adds the
+// style attributes and closes the tag.
+func svgRect(b []byte, x, y, w, h float64) []byte {
+	b = append(b, `<rect x="`...)
+	b = appendFixed1(b, x)
+	b = append(b, `" y="`...)
+	b = appendFixed1(b, y)
+	b = append(b, `" width="`...)
+	b = appendFixed1(b, w)
+	b = append(b, `" height="`...)
+	b = appendFixed1(b, h)
+	return append(b, '"')
+}
+
+func svgLine(b []byte, x1, y1, x2, y2 float64, color string, width float64) []byte {
+	b = append(b, `<line x1="`...)
+	b = appendFixed1(b, x1)
+	b = append(b, `" y1="`...)
+	b = appendFixed1(b, y1)
+	b = append(b, `" x2="`...)
+	b = appendFixed1(b, x2)
+	b = append(b, `" y2="`...)
+	b = appendFixed1(b, y2)
+	b = append(b, `" stroke="`...)
+	b = append(b, color...)
+	b = append(b, `" stroke-width="`...)
+	b = appendFixed1(b, width)
+	return append(b, "\"/>\n"...)
+}
+
+// svgText appends a dark-grey label s at (x, y).
+func svgText(b []byte, x, y float64, size, s string) []byte {
+	b = append(b, `<text x="`...)
+	b = appendFixed1(b, x)
+	b = append(b, `" y="`...)
+	b = appendFixed1(b, y)
+	b = append(b, `" font-size="`...)
+	b = append(b, size...)
+	b = append(b, `" fill="#333">`...)
+	b = appendText(b, s)
+	return append(b, "</text>\n"...)
 }
 
 // JSONDesign is the serialisable summary of a design.

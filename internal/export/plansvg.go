@@ -1,9 +1,7 @@
 package export
 
 import (
-	"fmt"
 	"io"
-	"strings"
 
 	"columbas/internal/layout"
 )
@@ -21,34 +19,35 @@ func WritePlanSVG(w io.Writer, p *layout.Plan) error {
 	x := func(v float64) float64 { return v * scale }
 	y := func(v float64) float64 { return (p.YMax - v) * scale }
 
-	b := &strings.Builder{}
-	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.1f %.1f">`+"\n", W, H, W, H)
-	fmt.Fprintf(b, `<title>%s — layout generation plan</title>`+"\n", p.Name)
-	fmt.Fprintf(b, `<rect x="0" y="0" width="%.1f" height="%.1f" fill="white" stroke="black" stroke-width="0.6"/>`+"\n", W, H)
+	b := make([]byte, 0, 512+len(p.Name)+176*len(p.Rects))
+	b = svgOpen(b, W, H)
+	b = append(b, "<title>"...)
+	b = appendText(b, p.Name)
+	b = append(b, " — layout generation plan</title>\n"...)
+	b = svgCanvas(b, W, H, "0.6")
 
 	// Paint channels first so the placeables' outlines stay visible.
 	order := []layout.RectKind{layout.RCtrl, layout.RFlow, layout.RBlock, layout.RSwitch}
-	style := map[layout.RectKind][2]string{
-		layout.RCtrl:   {"#2e8b57", "#b9e4cd"},
-		layout.RFlow:   {"#1e66c8", "#bcd5f5"},
-		layout.RBlock:  {"#444444", "#eeeeee"},
-		layout.RSwitch: {"#444444", "#dddddd"},
+	style := map[layout.RectKind]string{
+		layout.RCtrl:   ` stroke="#2e8b57" fill="#b9e4cd"`,
+		layout.RFlow:   ` stroke="#1e66c8" fill="#bcd5f5"`,
+		layout.RBlock:  ` stroke="#444444" fill="#eeeeee"`,
+		layout.RSwitch: ` stroke="#444444" fill="#dddddd"`,
 	}
 	for _, kind := range order {
 		for _, r := range p.Rects {
 			if r.Kind != kind {
 				continue
 			}
-			st := style[kind]
-			fmt.Fprintf(b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" stroke="%s" fill="%s" fill-opacity="0.8" stroke-width="0.5"/>`+"\n",
-				x(r.Box.XL), y(r.Box.YT), r.Box.W()*scale, r.Box.H()*scale, st[0], st[1])
+			b = svgRect(b, x(r.Box.XL), y(r.Box.YT), r.Box.W()*scale, r.Box.H()*scale)
+			b = append(b, style[kind]...)
+			b = append(b, ` fill-opacity="0.8" stroke-width="0.5"/>`+"\n"...)
 			if r.Placeable() {
-				fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-size="7" fill="#333">%s</text>`+"\n",
-					x(r.Box.XL)+1, y(r.Box.YT)+8, r.Name)
+				b = svgText(b, x(r.Box.XL)+1, y(r.Box.YT)+8, "7", r.Name)
 			}
 		}
 	}
-	fmt.Fprintln(b, "</svg>")
-	_, err := io.WriteString(w, b.String())
+	b = append(b, "</svg>\n"...)
+	_, err := w.Write(b)
 	return err
 }

@@ -85,10 +85,10 @@ func TestRoundTripCorpus(t *testing.T) {
 // name, and an objective name colliding with a generated row name.
 func TestRoundTripAwkwardNames(t *testing.T) {
 	m := milp.NewModel()
-	a := m.Int("x y", 0, 3)    // whitespace → sanitized
-	b := m.Int("x_y", 0, 3)    // collides with the sanitized a
-	c := m.Var("", 0, 5)       // empty → generated
-	d := m.Var("s*ar", -2, 2)  // comment char → sanitized
+	a := m.Int("x y", 0, 3)   // whitespace → sanitized
+	b := m.Int("x_y", 0, 3)   // collides with the sanitized a
+	c := m.Var("", 0, 5)      // empty → generated
+	d := m.Var("s*ar", -2, 2) // comment char → sanitized
 	m.Minimize(milp.T(a, 1).Add(b, 2).Add(c, 3).Add(d, 4))
 	m.AddLE(milp.Sum(a, b, c, d), 6)
 	in := &Instance{Name: "odd names", Model: m, ObjName: "R0000001"}

@@ -83,8 +83,8 @@ type ExploreCell struct {
 // ExploreDoc is the columbas-explore/v1 response: every cell of the
 // sweep plus the Pareto frontier over the Table 1 metrics.
 type ExploreDoc struct {
-	Schema string `json:"schema"`
-	Name   string `json:"name"`
+	Schema string        `json:"schema"`
+	Name   string        `json:"name"`
 	Cells  []ExploreCell `json:"cells"`
 	// Frontier indexes the non-dominated cells: no other succeeded cell
 	// is at least as good on width, height, flow length and control
