@@ -255,3 +255,48 @@ func TestWriteReport(t *testing.T) {
 		t.Error("1-MUX design must not report a top multiplexer")
 	}
 }
+
+// TestReportEscapesNames renders a netlist whose names carry markup and a
+// table separator: no name may reach the markdown as raw HTML, and every
+// table row must keep its table's column count.
+func TestReportEscapesNames(t *testing.T) {
+	d := design(t, `
+design a&b<script>alert(1)</script>
+unit m|1 mixer
+unit c1 chamber
+connect in:s<i>&amp m|1
+connect m|1 c1
+connect c1 out:waste
+`)
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	s := buf.String()
+	if strings.Contains(s, "<script") {
+		t.Error("report contains a raw <script")
+	}
+	cols := 0
+	for i, line := range strings.Split(s, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			cols = 0 // a table ends at its first non-row line
+			continue
+		}
+		if n := strings.Count(line, "|"); cols == 0 {
+			cols = n
+		} else if n != cols {
+			t.Errorf("line %d has %d cell separators, its table's header %d: %s", i+1, n, cols, line)
+		}
+	}
+	for _, want := range []string{
+		"# Design datasheet: a&amp;b&lt;script&gt;alert(1)&lt;/script&gt;\n",
+		"| m&#124;1 | mixer |",
+		"| m&#124;1.",
+		"| s&lt;i&gt;&amp;amp | inlet |",
+		"## Bottom multiplexer",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+}

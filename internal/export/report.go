@@ -19,7 +19,7 @@ import (
 // needs to operate the chip.
 func WriteReport(w io.Writer, d *validate.Design) error {
 	b := &strings.Builder{}
-	fmt.Fprintf(b, "# Design datasheet: %s\n\n", d.Name)
+	fmt.Fprintf(b, "# Design datasheet: %s\n\n", mdText(d.Name))
 
 	fmt.Fprintf(b, "## Summary\n\n")
 	fmt.Fprintf(b, "| metric | value |\n|---|---|\n")
@@ -43,7 +43,7 @@ func WriteReport(w io.Writer, d *validate.Design) error {
 			kind += " (" + m.Opt.String() + ")"
 		}
 		fmt.Fprintf(b, "| %s | %s | (%.0f, %.0f) | %.0f × %.0f | %d | %d |\n",
-			m.Name, kind, m.Box.XL, m.Box.YB, m.Box.W(), m.Box.H(),
+			mdText(m.Name), kind, m.Box.XL, m.Box.YB, m.Box.W(), m.Box.H(),
 			len(m.Lines), len(m.Valves()))
 	}
 	b.WriteString("\n")
@@ -71,7 +71,7 @@ func WriteReport(w io.Writer, d *validate.Design) error {
 			}
 			ch := byIdx[a]
 			fmt.Fprintf(b, "| %d | %0*b | %s | %s | %s |\n",
-				a, width, a, mx.PairString(sel), ch.Name, ch.Owner)
+				a, width, a, mx.PairString(sel), mdText(ch.Name), mdText(ch.Owner))
 		}
 		b.WriteString("\n")
 	}
@@ -104,10 +104,15 @@ func WriteReport(w io.Writer, d *validate.Design) error {
 		if in.At.X > d.FuncRegion.XR/2 {
 			side = "right"
 		}
-		fmt.Fprintf(b, "| %s | %s | %s | (%.0f, %.0f) |\n", in.Name, dir, side, in.At.X, in.At.Y)
+		fmt.Fprintf(b, "| %s | %s | %s | (%.0f, %.0f) |\n", mdText(in.Name), dir, side, in.At.X, in.At.Y)
 	}
 	b.WriteString("\n")
 
 	_, err := io.WriteString(w, b.String())
 	return err
 }
+
+// mdText escapes a netlist name for the report: '&', '<' and '>' become
+// HTML entities, so no name reaches a markdown renderer as markup, and
+// '|' becomes "&#124;", so no name splits a table cell.
+var mdText = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "|", "&#124;").Replace

@@ -145,42 +145,7 @@ func TestSeedRelationReductionKeepsOptimum(t *testing.T) {
 		ids = ids[:2]
 	}
 	for _, id := range ids {
-		c, err := cases.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := c.WithMuxes(1).Netlist()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := planar.Planarize(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := buildModel(pr, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.greedyPlace()
-		b.snapshotSeed()
-		lpSolve := func(m *milp.Model) *milp.Result {
-			t.Helper()
-			res, err := m.Solve(milp.Options{Workers: 1, NoCuts: true, TimeLimit: time.Minute})
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			if res.Status != milp.Optimal {
-				t.Fatalf("%s: LP status %v", id, res.Status)
-			}
-			return res
-		}
-		// Round 1 places every rect without relations; the pairs it
-		// leaves overlapping are round 2's relation set.
-		b.buildMILP(true, nil)
-		b.applySolution(lpSolve(b.model))
-		active := b.overlappingPairs(nil)
-
-		b.buildMILP(true, active)
+		b, active := guidedRound2(t, id)
 		reduced, dropped := b.model, b.impliedRelations
 		if reduced.NumInt() != 0 || dropped == 0 {
 			t.Fatalf("%s: %d binaries, %d of %d relations dropped", id, reduced.NumInt(), dropped, len(active))
@@ -196,11 +161,71 @@ func TestSeedRelationReductionKeepsOptimum(t *testing.T) {
 		if full.NumRows() != reduced.NumRows()+dropped {
 			t.Fatalf("%s: full model has %d rows, want %d + %d", id, full.NumRows(), reduced.NumRows(), dropped)
 		}
-		objR, objF := lpSolve(reduced).Obj, lpSolve(full).Obj
+		objR, objF := solveGuidedLP(t, id, reduced).Obj, solveGuidedLP(t, id, full).Obj
 		if math.Abs(objR-objF) > 1e-6 {
 			t.Errorf("%s: reduced optimum %.9g, full %.9g", id, objR, objF)
 		}
 		t.Logf("%s: %d of %d relations implied, %d vs %d rows, objective %.6f (diff %g)",
 			id, dropped, len(active), reduced.NumRows(), full.NumRows(), objR, objR-objF)
 	}
+}
+
+// solveGuidedLP solves a zero-binary layout model with one worker and
+// requires an optimum.
+func solveGuidedLP(tb testing.TB, id string, m *milp.Model) *milp.Result {
+	tb.Helper()
+	res, err := m.Solve(milp.Options{Workers: 1, NoCuts: true, TimeLimit: time.Minute})
+	if err != nil {
+		tb.Fatalf("%s: %v", id, err)
+	}
+	if res.Status != milp.Optimal {
+		tb.Fatalf("%s: LP status %v", id, res.Status)
+	}
+	return res
+}
+
+// guidedRound2 builds case id at one MUX up to its round-2 guided model:
+// round 1 places every rect without relations, and the pairs it leaves
+// overlapping are round 2's relation set. The returned builder's model
+// is round 2's reduced model.
+func guidedRound2(tb testing.TB, id string) (*builder, [][2]int) {
+	tb.Helper()
+	c, err := cases.Get(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := c.WithMuxes(1).Netlist()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pr, err := planar.Planarize(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := buildModel(pr, DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b.greedyPlace()
+	b.snapshotSeed()
+	b.buildMILP(true, nil)
+	b.applySolution(solveGuidedLP(tb, id, b.model))
+	active := b.overlappingPairs(nil)
+	b.buildMILP(true, active)
+	return b, active
+}
+
+// BenchmarkSolveOneShotChip256 times the one-shot Solve path on the LP
+// that carries most of the scale workload's solver time: chip256's
+// round-2 guided model (1 041 rows, no binaries) on one worker.
+func BenchmarkSolveOneShotChip256(b *testing.B) {
+	bl, _ := guidedRound2(b, "chip256")
+	var res *milp.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = solveGuidedLP(b, "chip256", bl.model)
+	}
+	b.ReportMetric(float64(res.Stats.SimplexPivots), "pivots/op")
+	b.ReportMetric(float64(res.Stats.Refactorizations), "refactors/op")
 }

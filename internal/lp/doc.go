@@ -13,8 +13,10 @@
 // The implementation is a textbook revised simplex with bound-flip ratio
 // tests, Dantzig pricing with a Bland's-rule fallback for anti-cycling,
 // and a phase-1 artificial-variable start. The basis is held as sparse LU
-// factors with product-form (eta) updates, refactorized periodically and
-// cached across warm-started solves. It is intended for the model sizes
+// factors with product-form (eta) updates, refactorized every 512
+// updates — and, on the one-shot Solve path, as soon as the eta file
+// holds more nonzeros than the factors — and cached across warm-started
+// solves. It is intended for the model sizes
 // Columba S produces
 // (tens of rectangles, hundreds to a few thousand rows), not for
 // general-purpose large-scale LP.

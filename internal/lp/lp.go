@@ -344,6 +344,11 @@ type tableau struct {
 	// cold path's verification retry uses it to walk a different, maximally
 	// cautious pivot sequence after a default run went numerically wrong.
 	forceBland bool
+	// fillRefactor adds the eta-fill trigger to applyEta: refactorize as
+	// soon as the eta file holds more nonzeros than the LU factors. Only
+	// the one-shot Solve sets it (see coldFull for why branch and bound
+	// keeps the count trigger alone).
+	fillRefactor bool
 
 	// Per-run kernel tallies, folded into the Problem counters only when
 	// the run's result is actually returned (abandoned warm attempts
@@ -360,7 +365,11 @@ type tableau struct {
 	installed  *Basis // snapshot installed by a warm start (nil when cold)
 }
 
-// Solve optimises the problem with the current bounds and costs.
+// Solve optimises the problem with the current bounds and costs: a
+// one-shot solve, presolved when the rows allow it, from an artificial
+// basis. It refactorizes the basis as soon as the eta file holds more
+// nonzeros than the LU factors, as well as every refactorEvery updates;
+// SolveFrom keeps the count trigger alone.
 func (p *Problem) Solve() (*Solution, error) {
 	sol, err := p.solve()
 	if sol != nil {
@@ -420,8 +429,10 @@ func (p *Problem) EtaUpdateCount() int64 { return p.etaUpdates }
 
 // RefactorizationCount returns the number of from-scratch LU
 // factorizations of the basis matrix: warm-start installs that missed
-// the workspace's factorization cache, plus the counted periodic
-// refactorizations that flush eta-update drift (see SetRefactorInterval).
+// the workspace's factorization cache, plus the mid-solve
+// refactorizations that flush the eta file — every refactorEvery
+// updates (see SetRefactorInterval) and, in Solve, whenever the eta
+// file outgrows the factors.
 // The diagonal artificial start basis of a cold solve is installed in
 // place and is not counted.
 func (p *Problem) RefactorizationCount() int64 { return p.refactors }
@@ -528,47 +539,8 @@ func (p *Problem) solve() (*Solution, error) {
 		// is only an optimization, so fall through and solve the original
 		// problem with the full tableau instead of surfacing a bogus limit.
 	}
-	t := p.newTableau()
-	p1 := t.phase1()
-	st := p1
-	if p1 == Optimal {
-		st = t.phase2()
-	}
-	if (st == Optimal && !p.warmResultOK(t.x[:t.nStru])) || (st == IterLimit && t.invBad) ||
-		(st == Infeasible && t.stabHits > 0) {
-		// The default pivot sequence claimed optimality on a point that
-		// violates bounds or rows, drove the basis numerically singular
-		// (invBad), or claimed infeasibility from a run that tripped the
-		// pivot-stability guard — accumulated drift corrupted the run.
-		// Retry once from scratch under Bland's rule, whose cautious
-		// pricing walks a different (and far more stable) pivot path; the
-		// abandoned run's tallies are dropped, like a failed warm attempt.
-		t = p.newTableau()
-		t.forceBland = true
-		if p1 = t.phase1(); p1 == Optimal {
-			st = t.phase2()
-		} else {
-			st = p1
-		}
-	}
-	if p1 != Optimal {
-		t.saveCache()
-		p.foldTableau(t)
-		return &Solution{Status: st, X: make([]float64, len(p.cost)), Iters: t.iters, p1rows: t.m}, nil
-	}
-	t.saveCache()
-	p.foldTableau(t)
-	sol := &Solution{Status: st, X: make([]float64, len(p.cost)), Iters: t.iters, p1rows: t.m}
-	copy(sol.X, t.x[:t.nStru])
-	for v, xv := range sol.X {
-		sol.Obj += p.cost[v] * xv
-	}
-	if st == Optimal {
-		sol.basis = t.snapshot()
-		sol.redCost = t.reducedCostsInto(nil, t.cost)
-		t.ws.tabOptimal = true
-	}
-	return sol, nil
+	// The one-shot path refactorizes on eta fill as well as on the count.
+	return p.coldFull(nil, true), nil
 }
 
 // prepTableau readies the workspace and fills the tableau fields shared
@@ -709,17 +681,20 @@ func (t *tableau) phase2() Status {
 }
 
 // applyEta counts one product-form update of the basis representation
-// (the eta column the callers just appended) and, every refactorEvery
-// updates — accumulated across solves through the workspace cache —
-// refactorizes from scratch for numerical hygiene. Returns false when
-// that periodic refactorization finds the basis numerically singular;
+// (the eta column the callers just appended) and refactorizes from
+// scratch every refactorEvery updates — accumulated across solves
+// through the workspace cache — or, on a fillRefactor tableau, as soon
+// as the eta file outgrows the factors: past that point every FTRAN and
+// BTRAN spends more time in the eta file than in L and U. Returns false
+// when that refactorization finds the basis numerically singular;
 // callers abort with IterLimit and the warm path falls back.
 func (t *tableau) applyEta() bool {
 	t.etaUpd++
 	t.basisDirty = true
 	t.ws.basisValid = false // the factors no longer match any cached basis
 	t.ws.updatesSinceRefactor++
-	if t.ws.updatesSinceRefactor >= refactorEvery {
+	if t.ws.updatesSinceRefactor >= refactorEvery ||
+		t.fillRefactor && t.f.etaNonzeros() > t.f.factorNonzeros() {
 		if !t.factorize() {
 			t.invBad = true
 			return false

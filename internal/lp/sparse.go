@@ -17,9 +17,12 @@ import "math"
 // Between refactorizations, pivots append product-form eta columns to an
 // eta file instead of touching the factors, so B⁻¹ is represented as
 // E_k⁻¹…E_1⁻¹·(LU)⁻¹ and both FTRAN (w = B⁻¹a) and BTRAN (y = B⁻ᵀc)
-// stay O(nnz). The counted periodic refactorization (refactorEvery)
-// flushes the eta file, and the cross-solve factorization cache keeps
-// the factors-plus-eta-file pair from one solve to the next.
+// stay O(nnz). A refactorization flushes the eta file: the counted one
+// (refactorEvery) on every path, and on the one-shot Solve path also
+// the one triggered once the eta file holds more nonzeros than the
+// factors (etaNonzeros vs factorNonzeros). The cross-solve
+// factorization cache keeps the factors-plus-eta-file pair from one
+// solve to the next.
 //
 // Fill-in is not capped: a basis that wants a near-dense factorization
 // completes on the grow-only arenas, whose worst case, O(m²), is the
@@ -422,4 +425,10 @@ func (f *sparseLU) appendEta(r int, w []float64) {
 // entries — the resident size of the current factors.
 func (f *sparseLU) factorNonzeros() int {
 	return len(f.lIdx) + len(f.uIdx) + 2*f.m
+}
+
+// etaNonzeros returns the nonzeros of the eta file, pivot entries
+// included — what every FTRAN and BTRAN sweeps on top of the factors.
+func (f *sparseLU) etaNonzeros() int {
+	return len(f.etaIdx) + len(f.etaPos)
 }

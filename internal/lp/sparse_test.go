@@ -31,12 +31,15 @@ func checkInverseOps(t *testing.T, p *Problem, seed int64, step int) {
 
 // TestSolveMatchesVertexOracle solves random boxed LPs cold and
 // requires the status and objective the exhaustive vertex oracle proves.
+// Some of the solves must cross the eta-fill trigger, so the oracle also
+// checks solves that refactorized mid-run.
 func TestSolveMatchesVertexOracle(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
 		seeds = 40
 	}
 	var o vertexOracle
+	refactorized := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		p := randomLP(rand.New(rand.NewSource(seed)))
 		sol, err := p.Solve()
@@ -44,7 +47,14 @@ func TestSolveMatchesVertexOracle(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		o.check(t, p, sol, seed, -1)
+		if p.RefactorizationCount() > 0 {
+			refactorized++
+		}
 	}
+	if refactorized == 0 {
+		t.Fatal("no solve crossed the eta-fill trigger")
+	}
+	t.Logf("%d of %d solves refactorized", refactorized, seeds)
 }
 
 // TestSparseBtranConsistency checks the transpose solve directly: after
@@ -445,4 +455,102 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
+}
+
+// fillLP builds a mid-size LP of LE and GE rows only — presolve passes
+// it through, so Solve runs the full tableau on the problem's own
+// workspace — whose rows are dense enough that a cold solve's eta file
+// outgrows the LU factors several times.
+func fillLP(rng *rand.Rand) *Problem {
+	p := NewProblem()
+	const nv, nr = 60, 40
+	for v := 0; v < nv; v++ {
+		p.AddVar(0, 5+10*rng.Float64(), -1-rng.Float64())
+	}
+	for r := 0; r < nr; r++ {
+		var terms []Term
+		for v := 0; v < nv; v++ {
+			if rng.Intn(4) == 0 {
+				terms = append(terms, Term{Var: v, Coef: float64(1 + rng.Intn(5))})
+			}
+		}
+		if r%4 == 0 {
+			p.AddConstraint(terms, GE, float64(1+rng.Intn(5)))
+		} else {
+			p.AddConstraint(terms, LE, float64(40+rng.Intn(40)))
+		}
+	}
+	return p
+}
+
+// TestSolveRefactorizesOnEtaFill pins the one-shot trigger: a cold Solve
+// refactorizes as soon as the eta file holds more nonzeros than the
+// factors, so after a solve that crossed the trigger several times the
+// eta file is no larger than the factors, and the outcome matches a
+// reference run that refactorizes after every pivot.
+func TestSolveRefactorizesOnEtaFill(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		p := fillLP(rand.New(rand.NewSource(seed)))
+		sol, err := p.Solve()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if n := p.RefactorizationCount(); n < 3 {
+			t.Fatalf("seed %d: %d refactorizations in %d pivots, want the trigger crossed at least 3 times",
+				seed, n, sol.Iters)
+		}
+		if eta, lu := p.ws.lu.etaNonzeros(), p.ws.lu.factorNonzeros(); eta > lu {
+			t.Fatalf("seed %d: eta file holds %d nonzeros, factors %d", seed, eta, lu)
+		}
+		prev := SetRefactorInterval(1)
+		ref, err := fillLP(rand.New(rand.NewSource(seed))).Solve()
+		SetRefactorInterval(prev)
+		if err != nil {
+			t.Fatalf("seed %d (interval 1): %v", seed, err)
+		}
+		if sol.Status != ref.Status {
+			t.Fatalf("seed %d: status %v, interval-1 reference %v", seed, sol.Status, ref.Status)
+		}
+		if sol.Status == Optimal && math.Abs(sol.Obj-ref.Obj) > 1e-6 {
+			t.Fatalf("seed %d: obj %v, interval-1 reference %v", seed, sol.Obj, ref.Obj)
+		}
+	}
+}
+
+// TestSolveFromKeepsCountTrigger pins that branch and bound keeps the
+// count trigger alone: with the interval out of reach, neither the cold
+// SolveFrom root nor a warm repair refactorizes when the eta file
+// outgrows the factors.
+func TestSolveFromKeepsCountTrigger(t *testing.T) {
+	prev := SetRefactorInterval(1 << 30)
+	defer SetRefactorInterval(prev)
+	rng := rand.New(rand.NewSource(1))
+	p := fillLP(rng)
+	longer := func() bool { return p.ws.lu.etaNonzeros() > p.ws.lu.factorNonzeros() }
+	sol, err := p.SolveFrom(nil)
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("root: status %v err %v", sol.Status, err)
+	}
+	if !longer() {
+		t.Fatal("the cold root refactorized on eta fill")
+	}
+	basis := sol.Basis()
+	grown := 0 // warm repairs that pivoted and left the eta file longer
+	for step := 0; step < 20; step++ {
+		tightenOne(p, rng)
+		warm := p.WarmStartCount()
+		sol, err = p.SolveFrom(basis)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if p.WarmStartCount() > warm && sol.Iters > 0 && longer() {
+			grown++
+		}
+		if nb := sol.Basis(); nb != nil {
+			basis = nb
+		}
+	}
+	if grown == 0 {
+		t.Fatal("no warm repair left the eta file longer than the factors")
+	}
 }

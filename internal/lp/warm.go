@@ -42,12 +42,13 @@ func (t *tableau) snapshot() *Basis {
 }
 
 // reducedCostsInto computes d_j = c_j − y·A_j for the structural
-// variables at the current basis, with y = c_B·B⁻¹, writing into dst
-// when its capacity suffices (steady-state solves recycle the previous
-// Solution's buffer and allocate nothing).
-func (t *tableau) reducedCostsInto(dst []float64, c []float64) []float64 {
-	y := t.ws.y
-	t.computeMultipliers(c)
+// variables at the phase-2 optimum, writing into dst when its capacity
+// suffices (steady-state solves recycle the previous Solution's buffer
+// and allocate nothing). y = c_B·B⁻¹ is read from the workspace: the
+// pricing pass that found the optimum computed it from the same costs
+// and factors, so it must be called before anything else runs a BTRAN.
+func (t *tableau) reducedCostsInto(dst []float64) []float64 {
+	c, y := t.cost, t.ws.y
 	if cap(dst) >= t.nStru {
 		dst = dst[:t.nStru]
 	} else {
@@ -123,51 +124,57 @@ func (p *Problem) solveFrom(basis *Basis, recycle *Solution) (sol *Solution, war
 			return s, true
 		}
 	}
-	return p.coldFull(recycle), false
+	return p.coldFull(recycle, false), false
 }
 
-// coldFull is the fallback: a full-tableau two-phase solve that bypasses
-// presolve so the result carries a reusable basis.
-func (p *Problem) coldFull(recycle *Solution) *Solution {
-	t := p.newTableau()
-	p1 := t.phase1()
-	st := p1
-	if p1 == Optimal {
-		st = t.phase2()
-	}
-	if (st == Optimal && !p.warmResultOK(t.x[:t.nStru])) || (st == IterLimit && t.invBad) ||
-		(st == Infeasible && t.stabHits > 0) {
-		// Same verification retry as Problem.solve: a cold run that claims
-		// optimality on a bound- or row-violating point, drove the basis
-		// numerically singular, or claims infeasibility after tripping the
-		// pivot-stability guard is re-run once under Bland's rule (see the
-		// comment there).
+// coldFull is the full-tableau two-phase solve from the artificial
+// basis. It bypasses presolve, so an optimal result carries a reusable
+// basis. A run that claims optimality on a bound- or row-violating
+// point, drives the basis numerically singular (invBad), or claims
+// infeasibility after tripping the pivot-stability guard was corrupted
+// by accumulated drift: it is re-run once from scratch under Bland's
+// rule, whose cautious pricing walks a different (and far more stable)
+// pivot path, and the abandoned run's tallies are dropped, like a
+// failed warm attempt.
+//
+// fillRefactor sets the eta-fill refactorization trigger (see applyEta)
+// on both runs. The one-shot Solve sets it. Branch and bound — the
+// SolveFrom fallback and the basis-less integer root — keeps the count
+// trigger alone: refactorizing changes the last bits of every solve,
+// which moves the cold MILP root of chip128-2 onto another optimal
+// vertex, and its search then ends at objective 2799.94 with 34 control
+// inlets instead of 2113.95 with 32.
+func (p *Problem) coldFull(recycle *Solution, fillRefactor bool) *Solution {
+	var t *tableau
+	var p1, st Status
+	for bland := false; ; bland = true {
 		t = p.newTableau()
-		t.forceBland = true
+		t.forceBland, t.fillRefactor = bland, fillRefactor
 		if p1 = t.phase1(); p1 == Optimal {
 			st = t.phase2()
 		} else {
 			st = p1
 		}
-	}
-	if p1 != Optimal {
-		t.saveCache()
-		p.foldTableau(t)
-		sol := resetSolution(recycle, len(p.cost))
-		sol.Status, sol.Iters, sol.p1rows = st, t.iters, t.m
-		return sol
+		corrupt := st == Optimal && !p.warmResultOK(t.x[:t.nStru]) ||
+			st == IterLimit && t.invBad || st == Infeasible && t.stabHits > 0
+		if bland || !corrupt {
+			break
+		}
 	}
 	t.saveCache()
 	p.foldTableau(t)
 	sol := resetSolution(recycle, len(p.cost))
 	sol.Status, sol.Iters, sol.p1rows = st, t.iters, t.m
+	if p1 != Optimal {
+		return sol
+	}
 	copy(sol.X, t.x[:t.nStru])
 	for v, xv := range sol.X {
 		sol.Obj += p.cost[v] * xv
 	}
 	if st == Optimal {
 		sol.basis = t.snapshot()
-		sol.redCost = t.reducedCostsInto(sol.redCost, t.cost)
+		sol.redCost = t.reducedCostsInto(sol.redCost)
 		t.ws.tabOptimal = true
 	}
 	return sol
@@ -234,7 +241,7 @@ func (p *Problem) warmSolve(basis *Basis, recycle *Solution) *Solution {
 	t.saveCache()
 	p.foldTableau(t)
 	sol.basis = t.snapshot()
-	sol.redCost = t.reducedCostsInto(sol.redCost, t.cost)
+	sol.redCost = t.reducedCostsInto(sol.redCost)
 	t.ws.tabOptimal = true
 	return sol
 }

@@ -21,7 +21,10 @@ package lp
 // defaultRefactorEvery is the number of product-form (eta) updates the
 // kernel lets accumulate on the basis representation — across solves,
 // thanks to the factorization cache — before forcing a from-scratch
-// refactorization.
+// refactorization. It is the only trigger on the branch-and-bound path
+// (SolveFrom). The one-shot Solve also refactorizes as soon as the eta
+// file holds more nonzeros than the factors, which on the layout models
+// fires long before 512 updates (see coldFull).
 const defaultRefactorEvery = 512
 
 var refactorEvery = defaultRefactorEvery
@@ -29,9 +32,11 @@ var refactorEvery = defaultRefactorEvery
 // SetRefactorInterval sets how many eta (product-form) updates may be
 // applied to the LU factors before the kernel forces a from-scratch
 // refactorization, returning the previous value. n ≤ 0 restores the
-// default. Interval 1 refactorizes after every pivot — the reference
-// behaviour the numerical-drift property tests compare the eta path
-// against. Not safe to call while any solve is in flight.
+// default. The interval caps both solve paths; the one-shot Solve's
+// eta-fill trigger stays on under any interval. Interval 1 refactorizes
+// after every pivot — the reference behaviour the numerical-drift
+// property tests compare the eta path against. Not safe to call while
+// any solve is in flight.
 func SetRefactorInterval(n int) int {
 	prev := refactorEvery
 	if n <= 0 {
