@@ -79,7 +79,7 @@ fuzz-smoke:
 conformance:
 	$(GO) test -run 'TestSynthesisConformance|TestNetlistRoundTrip|TestConformanceMostlySynthesizable' -count=1 .
 
-# Three documentation gates:
+# Four documentation gates:
 #   1. every internal package carries its documentation in a doc.go whose
 #      comment opens with the canonical "Package <name>" sentence, and no
 #      other file duplicates the package comment;
@@ -87,7 +87,12 @@ conformance:
 #      or docs/*.md dangles (external http(s) links are not checked);
 #   3. every milp.SearchStats counter field is documented by name in
 #      docs/metrics.md — an undocumented counter is how the metrics
-#      contract silently rots.
+#      contract silently rots;
+#   4. the other direction: every counter row of docs/metrics.md of the
+#      form | `milp_x` (`Field`) | (or its two-key `a` / `b` variant)
+#      names SearchStats fields that exist and span keys that
+#      internal/core/core.go emits — a row left behind by a deleted
+#      counter fails here.
 docs-check:
 	@fail=0; \
 	for d in internal/*/; do \
@@ -113,11 +118,27 @@ docs-check:
 			fi; \
 		done; \
 	done; \
-	for field in $$(awk '/^type SearchStats struct/,/^}/' internal/milp/stats.go | \
-			grep -o '^	[A-Z][A-Za-z0-9]*' | tr -d '\t'); do \
+	fields=$$(awk '/^type SearchStats struct/,/^}/' internal/milp/stats.go | \
+		grep -o '^	[A-Z][A-Za-z0-9]*' | tr -d '\t'); \
+	for field in $$fields; do \
 		if ! grep -q "$$field" docs/metrics.md; then \
 			echo "docs-check: SearchStats.$$field is not documented in docs/metrics.md"; fail=1; \
 		fi; \
+	done; \
+	rows=$$(grep -o '^| `milp_[a-z0-9_]*`\( / `milp_[a-z0-9_]*`\)* (`[A-Za-z0-9]*`\( / `[A-Za-z0-9]*`\)*) |' \
+		docs/metrics.md | tr -d ' |'); \
+	if [ -z "$$rows" ]; then echo "docs-check: docs/metrics.md has no counter rows"; fail=1; fi; \
+	for row in $$rows; do \
+		for key in $$(echo "$$row" | sed 's/(.*//' | grep -o 'milp_[a-z0-9_]*'); do \
+			if ! grep -q "\"$$key\"" internal/core/core.go; then \
+				echo "docs-check: docs/metrics.md documents $$key, which internal/core/core.go never emits"; fail=1; \
+			fi; \
+		done; \
+		for field in $$(echo "$$row" | sed 's/^[^(]*(//' | grep -o '[A-Z][A-Za-z0-9]*'); do \
+			if ! echo "$$fields" | grep -qx "$$field"; then \
+				echo "docs-check: docs/metrics.md documents SearchStats.$$field, which does not exist"; fail=1; \
+			fi; \
+		done; \
 	done; \
 	exit $$fail
 
@@ -143,9 +164,9 @@ loadtest:
 	$(GO) run ./cmd/columbaload -n 1000 -c 64 -o BENCH_serving.json
 
 # The general-MILP ingestion gate: the corpus differential matrix (every
-# instance keeps its golden status/objective across presolve × cuts ×
-# branching), the write→parse→write round-trip, and the
-# columbamilp CLI's golden/error-contract tests.
+# instance keeps its golden status/objective across presolve × cuts),
+# the write→parse→write round-trip, and the columbamilp CLI's
+# golden/error-contract tests.
 milp-check:
 	$(GO) build ./cmd/columbamilp
 	$(GO) test -count=1 ./internal/mps/

@@ -32,7 +32,6 @@ import (
 
 	"columbas/internal/bench"
 	"columbas/internal/cases"
-	"columbas/internal/milp"
 	"columbas/internal/obs"
 )
 
@@ -57,7 +56,6 @@ func run() error {
 		noWarm   = flag.Bool("no-warmstart", false, "solve every branch-and-bound LP cold instead of warm-starting from the parent basis (ablation)")
 		noPre    = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta  = flag.Bool("no-delta", false, "disable the delta-aware warm-start pipeline: ignore any donor hint, solve cold (ablation)")
-		branch   = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
 		pprofCPU = flag.String("pprof-cpu", "", "write a CPU profile of the whole run to this file")
 		pprofMem = flag.String("pprof-mem", "", "write a heap profile at exit to this file")
 	)
@@ -90,10 +88,6 @@ func run() error {
 	cfg.NoWarmStart = *noWarm
 	cfg.NoPresolve = *noPre
 	cfg.NoDelta = *noDelta
-	var err error
-	if cfg.Branching, err = milp.ParseBranchRule(*branch); err != nil {
-		return fmt.Errorf("-branching: %w", err)
-	}
 	if *quick {
 		cfg.StallLimit = 40
 	}

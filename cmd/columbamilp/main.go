@@ -5,7 +5,7 @@
 // Usage:
 //
 //	columbamilp model.mps
-//	columbamilp -branching mostfrac -no-cuts model.mps
+//	columbamilp -no-cuts -no-presolve model.mps
 //	columbamilp -timeout 10s -workers 4 -stats model.mps
 //	gen-emitted instances: see internal/gen.WriteMPS
 //
@@ -83,7 +83,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("columbamilp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		branching = fs.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
 		noCuts    = fs.Bool("no-cuts", false, "disable root cutting planes (Gomory + cover)")
 		noPre     = fs.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening)")
 		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel branch-and-bound workers (1: sequential, -1: all cores)")
@@ -102,20 +101,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return fail(stderr, "usage", fmt.Errorf("at most one input file, got %d", fs.NArg()))
 	}
 
+	// The solver reads any negative worker count as "all cores" and a
+	// non-positive budget as "none", so out-of-range values are refused
+	// here instead of silently meaning something else.
+	if *workers < -1 {
+		return fail(stderr, "invalid_option", fmt.Errorf("-workers must be -1 (all cores), 0/1 (sequential) or a worker count, got %d", *workers))
+	}
+	if *timeout < 0 {
+		return fail(stderr, "invalid_option", fmt.Errorf("-timeout must be 0 (no budget) or a positive duration, got %v", *timeout))
+	}
 	opt := milp.Options{
 		NoCuts:     *noCuts,
 		NoPresolve: *noPre,
 		Workers:    *workers,
 		TimeLimit:  *timeout,
 	}
-	var err error
-	if *branching != "" {
-		if opt.Branching, err = milp.ParseBranchRule(*branching); err != nil {
-			return fail(stderr, "invalid_option", err)
-		}
-	}
 
 	file := ""
+	var err error
 	var in *mps.Instance
 	if fs.NArg() == 1 {
 		file = fs.Arg(0)

@@ -171,19 +171,29 @@ func TestCLIStdin(t *testing.T) {
 	}
 }
 
-// TestCLIBadFlag checks that invalid option values produce the envelope
-// rather than a bare message.
+// TestCLIBadFlag checks that out-of-range option values produce the
+// envelope rather than a bare message or a silent reinterpretation: a
+// worker count below -1 would otherwise mean all cores, and a negative
+// budget no budget at all.
 func TestCLIBadFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run(
-		[]string{"-branching", "quantum", filepath.Join(corpusDir, "knap3.mps")},
-		strings.NewReader(""), &stdout, &stderr,
-	)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if e := decodeEnvelope(t, stderr.String()); e.Code != "invalid_option" {
-		t.Fatalf("code %q, want invalid_option", e.Code)
+	for _, args := range [][]string{
+		{"-workers", "-7"},
+		{"-timeout", "-1s"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(
+			append(args, filepath.Join(corpusDir, "knap3.mps")),
+			strings.NewReader(""), &stdout, &stderr,
+		)
+		if code != 1 {
+			t.Fatalf("%v: exit %d, want 1", args, code)
+		}
+		if e := decodeEnvelope(t, stderr.String()); e.Code != "invalid_option" {
+			t.Fatalf("%v: code %q, want invalid_option", args, e.Code)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%v: stdout %q, want nothing", args, stdout.String())
+		}
 	}
 }
 
@@ -200,6 +210,26 @@ func TestCLIRemovedKernelFlag(t *testing.T) {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	if !strings.Contains(stderr.String(), "flag provided but not defined: -kernel") {
+		t.Fatalf("stderr %q, want the flag package's unknown-flag message", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("stdout %q, want nothing", stdout.String())
+	}
+}
+
+// TestCLIRemovedBranchingFlag checks that -branching, removed with
+// pseudocost branching, is now an unknown flag: flag parsing fails with
+// exit 1 before any input is read.
+func TestCLIRemovedBranchingFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(
+		[]string{"-branching", "mostfrac", filepath.Join(corpusDir, "knap3.mps")},
+		strings.NewReader(""), &stdout, &stderr,
+	)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -branching") {
 		t.Fatalf("stderr %q, want the flag package's unknown-flag message", stderr.String())
 	}
 	if stdout.Len() != 0 {

@@ -51,7 +51,6 @@ func run() error {
 		noWarm    = flag.Bool("no-warmstart", false, "solve every branch-and-bound LP cold instead of warm-starting from the parent basis (ablation)")
 		noPre     = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta   = flag.Bool("no-delta", false, "ignore any delta warm-start donor and solve cold (ablation)")
-		branching = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
 		noDRC     = flag.Bool("nodrc", false, "skip the design-rule check")
 		stats     = flag.Bool("stats", false, "print the per-phase statistics table (docs/metrics.md) to stderr")
 		traceJSON = flag.String("trace-json", "", "write the phase trace as JSON (schema columbas-trace/v1) to this file")
@@ -74,7 +73,6 @@ func run() error {
 		NoWarmStart: *noWarm,
 		NoPresolve:  *noPre,
 		NoDelta:     *noDelta,
-		Branching:   *branching,
 	}
 	opt, err := spec.Apply(core.DefaultOptions())
 	if err != nil {

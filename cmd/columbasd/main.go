@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"columbas/internal/milp"
 	"columbas/internal/server"
 )
 
@@ -61,7 +60,6 @@ func run() error {
 		traceLog = flag.String("trace-log", "", "append one columbas-trace/v1 JSON line per request to this file")
 		noPre    = flag.Bool("no-presolve", false, "disable MILP presolve (bound tightening, redundant rows, coefficient strengthening) (ablation)")
 		noDelta  = flag.Bool("no-delta", false, "disable the delta-aware warm-start pipeline: no similarity-index donors, every solve cold (ablation)")
-		branch   = flag.String("branching", "", "branch-and-bound variable selection rule: pseudocost (default) or mostfrac")
 	)
 	flag.Parse()
 
@@ -75,11 +73,6 @@ func run() error {
 		return fmt.Errorf("-cache must be -1 (disable), 0 (default) or a capacity, got %d", *cacheN)
 	}
 
-	rule, err := milp.ParseBranchRule(*branch)
-	if err != nil {
-		return fmt.Errorf("-branching: %w", err)
-	}
-
 	cfg := server.Config{
 		Jobs:           *jobs,
 		MaxQueue:       *queue,
@@ -91,7 +84,6 @@ func run() error {
 		MaxBodyBytes:   *maxBody,
 		NoPresolve:     *noPre,
 		NoDelta:        *noDelta,
-		Branching:      rule,
 	}
 	if *traceLog != "" {
 		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -39,9 +39,6 @@ type Config struct {
 	// NoDelta disables the delta-aware warm-start pipeline: any donor
 	// hint (core.Options.Warm) is ignored and every solve runs cold.
 	NoDelta bool
-	// Branching selects the branch-and-bound variable selection rule;
-	// the zero value is pseudocost branching.
-	Branching milp.BranchRule
 }
 
 // DefaultConfig mirrors the evaluation setup: generous budget for the
@@ -98,7 +95,6 @@ func RunS(c cases.Case, muxes int, cfg Config) (*SRun, error) {
 	opt.Layout.NoWarmStart = cfg.NoWarmStart
 	opt.Layout.NoPresolve = cfg.NoPresolve
 	opt.NoDelta = cfg.NoDelta
-	opt.Layout.Branching = cfg.Branching
 	if cfg.StallLimit > 0 {
 		opt.Layout.StallLimit = cfg.StallLimit
 	}

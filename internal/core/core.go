@@ -252,7 +252,6 @@ func recordLayout(sp *obs.Span, plan *layout.Plan) {
 	sp.SetInt("milp_fill_in", se.FillIn)
 	sp.SetInt("milp_basis_nonzeros", se.BasisNonzeros)
 	sp.SetInt("milp_workspace_reuses", se.WorkspaceReuses)
-	sp.SetInt("milp_root_bounds_fixed", se.RootBoundsFixed)
 	sp.SetInt("milp_incumbent_updates", se.IncumbentUpdates)
 	sp.SetInt("milp_rounding_attempts", se.RoundingAttempts)
 	sp.SetInt("milp_rounding_hits", se.RoundingHits)
@@ -264,8 +263,6 @@ func recordLayout(sp *obs.Span, plan *layout.Plan) {
 	sp.SetInt("milp_cut_rounds", se.CutRounds)
 	sp.SetInt("milp_branchings", se.Branchings)
 	sp.SetInt("milp_group_branches", se.GroupBranches)
-	sp.SetInt("milp_pseudocost_branches", se.PseudocostBranches)
-	sp.SetInt("milp_reliability_fallbacks", se.ReliabilityFallbacks)
 	sp.SetInt("milp_delta_warm_starts", se.DeltaWarmStarts)
 	sp.SetInt("milp_delta_fallbacks", se.DeltaFallbacks)
 	sp.SetInt("milp_incumbent_from_hint", se.IncumbentFromHint)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"columbas/internal/layout"
-	"columbas/internal/milp"
 	"columbas/internal/netlist"
 )
 
@@ -50,9 +49,6 @@ type OptionSpec struct {
 	// no similarity-index donor is consulted and any supplied hint is
 	// ignored (ablation; see Options.NoDelta).
 	NoDelta bool `json:"no_delta,omitempty"`
-	// Branching selects the variable selection rule: "pseudocost"
-	// (default) or "mostfrac"; empty keeps the base rule.
-	Branching string `json:"branching,omitempty"`
 	// Timeout is the hard wall-clock deadline for the whole request as
 	// a duration string. Unlike Time it fails the run when it fires.
 	// It is not part of Options (deadlines are transient); callers read
@@ -115,13 +111,6 @@ func (sp OptionSpec) Apply(base Options) (Options, error) {
 	}
 	if sp.NoDelta {
 		opt.NoDelta = true
-	}
-	if sp.Branching != "" {
-		rule, err := milp.ParseBranchRule(sp.Branching)
-		if err != nil {
-			return opt, err
-		}
-		opt.Layout.Branching = rule
 	}
 	if _, err := sp.ParseTimeout(); err != nil {
 		return opt, err

@@ -229,10 +229,6 @@ type Options struct {
 	// no root or node bound tightening, redundant-row removal, or
 	// coefficient strengthening (ablation: measures presolve's value).
 	NoPresolve bool `json:"no_presolve,omitempty"`
-	// Branching selects the branch-and-bound variable selection rule
-	// (milp.Options.Branching); the zero value is pseudocost branching
-	// with reliability initialization.
-	Branching milp.BranchRule `json:"branching"`
 	// Workers is the number of parallel branch-and-bound workers handed
 	// to the MILP solver (milp.Options.Workers): 0 or 1 runs the exact
 	// sequential search, a negative value uses runtime.GOMAXPROCS(0).

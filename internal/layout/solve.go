@@ -187,7 +187,6 @@ func (b *builder) solve(opt Options) (*Plan, error) {
 			NoWarmStart: opt.NoWarmStart,
 			NoCuts:      true,
 			NoPresolve:  opt.NoPresolve,
-			Branching:   opt.Branching,
 		})
 		if err != nil {
 			roundSp.End()
@@ -393,7 +392,6 @@ func recordRound(sp *obs.Span, b *builder, res *milp.Result, activePairs int) {
 	sp.SetInt("nodes_presolved", st.NodesPresolved)
 	sp.SetInt("bounds_tightened", st.BoundsTightened)
 	sp.SetInt("branchings", st.Branchings)
-	sp.SetInt("pseudocost_branches", st.PseudocostBranches)
 	sp.End()
 }
 

@@ -251,9 +251,8 @@ type Solution struct {
 	Obj    float64   // objective value at X (minimisation)
 	Iters  int       // simplex iterations across both phases
 
-	basis   *Basis    // optimal basis snapshot (nil when unavailable)
-	redCost []float64 // reduced costs of the structural variables at X
-	p1rows  int       // rows the artificial phase 1 had to process
+	basis  *Basis // optimal basis snapshot (nil when unavailable)
+	p1rows int    // rows the artificial phase 1 had to process
 }
 
 // Basis returns a snapshot of the optimal simplex basis, or nil when the
@@ -263,17 +262,10 @@ type Solution struct {
 // with the same rows to warm-start a related solve.
 func (s *Solution) Basis() *Basis { return s.basis }
 
-// ReducedCosts returns the reduced costs of the structural variables at
-// the optimum, or nil when unavailable. For a variable nonbasic at its
-// lower bound the entry is ≥ 0 and measures the objective degradation per
-// unit increase; at the upper bound it is ≤ 0. Branch-and-bound uses
-// these for reduced-cost bound fixing at the root.
-func (s *Solution) ReducedCosts() []float64 { return s.redCost }
-
 // reset prepares a Solution for reuse: recycle, when non-nil, donates
-// its X and reduced-cost buffer capacity (the caller has promised it no
-// longer reads them — see SolveFromReuse). nStru is the structural
-// variable count of the new result.
+// its X buffer capacity (the caller has promised it no longer reads it
+// — see SolveFromReuse). nStru is the structural variable count of the
+// new result.
 func resetSolution(recycle *Solution, nStru int) *Solution {
 	s := recycle
 	if s == nil {
@@ -291,9 +283,6 @@ func resetSolution(recycle *Solution, nStru int) *Solution {
 		}
 	} else {
 		s.X = make([]float64, nStru)
-	}
-	if s.redCost != nil {
-		s.redCost = s.redCost[:0]
 	}
 	return s
 }

@@ -41,29 +41,6 @@ func (t *tableau) snapshot() *Basis {
 	}
 }
 
-// reducedCostsInto computes d_j = c_j − y·A_j for the structural
-// variables at the phase-2 optimum, writing into dst when its capacity
-// suffices (steady-state solves recycle the previous Solution's buffer
-// and allocate nothing). y = c_B·B⁻¹ is read from the workspace: the
-// pricing pass that found the optimum computed it from the same costs
-// and factors, so it must be called before anything else runs a BTRAN.
-func (t *tableau) reducedCostsInto(dst []float64) []float64 {
-	c, y := t.cost, t.ws.y
-	if cap(dst) >= t.nStru {
-		dst = dst[:t.nStru]
-	} else {
-		dst = make([]float64, t.nStru)
-	}
-	for v := 0; v < t.nStru; v++ {
-		rc := c[v]
-		for _, tm := range t.cols[v] {
-			rc -= y[tm.Var] * tm.Coef
-		}
-		dst[v] = rc
-	}
-	return dst
-}
-
 // SolveFrom optimises the problem starting from a prior basis snapshot.
 // The intended caller is branch and bound: a child node differs from its
 // parent by one variable-bound change, the parent's optimal basis stays
@@ -78,9 +55,9 @@ func (p *Problem) SolveFrom(basis *Basis) (*Solution, error) {
 }
 
 // SolveFromReuse is SolveFrom with Solution recycling: when recycle is
-// non-nil its X and reduced-cost buffers are reused for the new result,
-// and the returned Solution may be recycle itself. The caller promises it
-// no longer reads recycle (or slices obtained from it) — branch-and-bound
+// non-nil its X buffer is reused for the new result, and the returned
+// Solution may be recycle itself. The caller promises it no longer reads
+// recycle (or slices obtained from it) — branch-and-bound
 // hands back the previous node's Solution once its values have been
 // copied out, which makes the steady-state warm path allocation-free.
 // Basis snapshots are never recycled; any Basis previously returned
@@ -174,7 +151,6 @@ func (p *Problem) coldFull(recycle *Solution, fillRefactor bool) *Solution {
 	}
 	if st == Optimal {
 		sol.basis = t.snapshot()
-		sol.redCost = t.reducedCostsInto(sol.redCost)
 		t.ws.tabOptimal = true
 	}
 	return sol
@@ -241,7 +217,6 @@ func (p *Problem) warmSolve(basis *Basis, recycle *Solution) *Solution {
 	t.saveCache()
 	p.foldTableau(t)
 	sol.basis = t.snapshot()
-	sol.redCost = t.reducedCostsInto(sol.redCost)
 	t.ws.tabOptimal = true
 	return sol
 }

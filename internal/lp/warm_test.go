@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -238,102 +237,4 @@ func TestBasisSharedAcrossClones(t *testing.T) {
 		t.Fatalf("cold: %v", err)
 	}
 	sameOutcome(t, 0, warm, cold)
-}
-
-// TestReducedCostsSigns sanity-checks the reduced costs used by the
-// root's bound fixing: nonnegative at a lower bound, nonpositive at an
-// upper bound, and predictive of the objective change of a forced move.
-func TestReducedCostsSigns(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVar(0, 1, 5) // expensive: stays at lo, rc ≈ 5
-	y := p.AddVar(0, 10, 1)
-	p.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 3)
-	sol, err := p.SolveFrom(nil)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("solve: %v %v", sol, err)
-	}
-	rc := sol.ReducedCosts()
-	if rc == nil {
-		t.Fatalf("no reduced costs on optimal solution")
-	}
-	if rc[x] < 1e-7 {
-		t.Fatalf("rc[x] = %v, want > 0 (nonbasic at lower bound)", rc[x])
-	}
-	// Forcing x to 1 must degrade the objective by about rc[x]·1.
-	p.SetBounds(x, 1, 1)
-	forced, err := p.SolveFrom(sol.Basis())
-	if err != nil || forced.Status != Optimal {
-		t.Fatalf("forced: %v %v", forced, err)
-	}
-	if math.Abs((forced.Obj-sol.Obj)-rc[x]) > 1e-5 {
-		t.Fatalf("obj moved %v, reduced cost predicted %v", forced.Obj-sol.Obj, rc[x])
-	}
-}
-
-// TestReducedCostsMatchFreshBtran pins that the reduced costs of a
-// solve, built from the multipliers of its final pricing pass, equal bit
-// for bit those of a fresh BTRAN through the final factors: for cold
-// roots, warm chains, and a Solve that presolve passes through.
-func TestReducedCostsMatchFreshBtran(t *testing.T) {
-	check := func(p *Problem, sol *Solution, what string) bool {
-		t.Helper()
-		if sol.Status != Optimal {
-			return false
-		}
-		tb := &p.ws.tab
-		tb.computeMultipliers(tb.cost)
-		rc := sol.ReducedCosts()
-		if len(rc) != tb.nStru {
-			t.Fatalf("%s: %d reduced costs, want %d", what, len(rc), tb.nStru)
-		}
-		for v := range rc {
-			d := tb.cost[v]
-			for _, tm := range tb.cols[v] {
-				d -= tb.ws.y[tm.Var] * tm.Coef
-			}
-			if math.Float64bits(rc[v]) != math.Float64bits(d) {
-				t.Fatalf("%s: reduced cost %d = %v, fresh BTRAN gives %v", what, v, rc[v], d)
-			}
-		}
-		return true
-	}
-	cold, warm := 0, 0
-	for seed := int64(0); seed < 100; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomLP(rng)
-		sol, err := p.SolveFrom(nil)
-		if err != nil {
-			t.Fatalf("seed %d root: %v", seed, err)
-		}
-		if check(p, sol, fmt.Sprintf("seed %d root", seed)) {
-			cold++
-		}
-		basis := sol.Basis()
-		for step := 0; step < 10 && basis != nil; step++ {
-			tightenOne(p, rng)
-			if sol, err = p.SolveFrom(basis); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
-			}
-			if check(p, sol, fmt.Sprintf("seed %d step %d", seed, step)) {
-				warm++
-			}
-			if nb := sol.Basis(); nb != nil {
-				basis = nb
-			}
-		}
-	}
-	oneShot := 0
-	for seed := int64(0); seed < 10; seed++ {
-		p := fillLP(rand.New(rand.NewSource(seed)))
-		sol, err := p.Solve()
-		if err != nil {
-			t.Fatalf("fill seed %d: %v", seed, err)
-		}
-		if check(p, sol, fmt.Sprintf("fill seed %d", seed)) {
-			oneShot++
-		}
-	}
-	if cold == 0 || warm < 100 || oneShot == 0 {
-		t.Fatalf("checked %d cold, %d warm and %d one-shot optima", cold, warm, oneShot)
-	}
 }

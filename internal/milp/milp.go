@@ -238,46 +238,6 @@ func (m *Model) MarkDisjunction(vars []VarID) {
 	m.groups = append(m.groups, g)
 }
 
-// BranchRule selects how the search picks a branching variable when no
-// disjunction group takes priority (see Options.Branching).
-type BranchRule int
-
-const (
-	// BranchPseudocost (the default) branches on the variable with the
-	// best pseudocost score — the per-unit objective degradation each
-	// branching direction has historically caused — falling back to the
-	// most-fractional rule until a variable has enough observations in
-	// both directions to be reliable.
-	BranchPseudocost BranchRule = iota
-	// BranchMostFractional always branches on the most fractional
-	// integer variable — the pre-pseudocost rule, kept as the ablation
-	// baseline (-branching=mostfrac).
-	BranchMostFractional
-)
-
-func (r BranchRule) String() string {
-	switch r {
-	case BranchPseudocost:
-		return "pseudocost"
-	case BranchMostFractional:
-		return "mostfrac"
-	}
-	return fmt.Sprintf("branchrule(%d)", int(r))
-}
-
-// ParseBranchRule maps a rule name to its BranchRule. The empty string
-// selects the default (pseudocost); an unknown name is an error listing
-// the valid names rather than a silent fallback.
-func ParseBranchRule(name string) (BranchRule, error) {
-	switch name {
-	case "", "pseudocost":
-		return BranchPseudocost, nil
-	case "mostfrac":
-		return BranchMostFractional, nil
-	}
-	return 0, fmt.Errorf("unknown branching rule %q (valid: pseudocost, mostfrac)", name)
-}
-
 // Options controls the branch-and-bound search.
 type Options struct {
 	// TimeLimit bounds wall-clock search time; 0 means no limit.
@@ -308,7 +268,9 @@ type Options struct {
 	// variable count) is silently ignored by the LP kernel's
 	// compatibility check, which falls back to a cold solve; when the
 	// root cut loop produces its own basis, that one wins. Ignored under
-	// NoWarmStart.
+	// NoWarmStart, and by a model without integer variables: such a
+	// model never branches, so its one LP always goes through the
+	// presolving Solve.
 	RootBasis *lp.Basis
 	// Gap is the relative optimality gap at which search stops early
 	// (e.g. 0.01 for 1%). 0 means prove optimality.
@@ -330,15 +292,10 @@ type Options struct {
 	// per-node bound propagation that discards infeasible nodes before
 	// their LP (ablation).
 	NoPresolve bool
-	// Branching selects the variable branching rule; the zero value is
-	// pseudocost branching with a most-fractional reliability fallback
-	// (see BranchRule).
-	Branching BranchRule
 	// NoWarmStart disables LP basis reuse between parent and child nodes,
 	// solving every relaxation cold from an artificial basis (ablation;
 	// also the reference behaviour the solver-equivalence suite compares
-	// against). Reduced-cost bound fixing at the root is disabled too,
-	// since it needs the root basis's reduced costs.
+	// against).
 	NoWarmStart bool
 	// Workers is the number of branch-and-bound workers solving LP
 	// relaxations concurrently. Each worker explores nodes from the
@@ -389,16 +346,6 @@ type node struct {
 	// across worker handoffs: whichever worker pops this node warm-starts
 	// its relaxation from the parent basis on its own Problem clone.
 	basis *lp.Basis
-
-	// Pseudocost bookkeeping: bVar is the variable whose two-way branch
-	// created this node (-1 for the root and for k-way group children),
-	// bUp whether this is the up child, and bDist the fractional distance
-	// the branch moved that variable from the parent's relaxation value.
-	// When this node's own LP solves, (objective gain)/bDist becomes one
-	// pseudocost observation for bVar in direction bUp.
-	bVar  int
-	bUp   bool
-	bDist float64
 }
 
 type boundChange struct {

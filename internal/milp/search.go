@@ -57,17 +57,6 @@ type search struct {
 	// rows, which node presolve must never propagate bounds through.
 	cutRowStart int
 
-	// Pseudocost state (nil unless the rule is BranchPseudocost and the
-	// model has integer variables): per-variable, per-direction sums of
-	// observed objective gain per unit of fractional distance, and the
-	// observation counts that gate reliability. Guarded by pcMu — the
-	// frontier lock is busier and the pseudocost reads/writes are tiny.
-	pcMu      sync.Mutex
-	pcDownSum []float64
-	pcUpSum   []float64
-	pcDownN   []int32
-	pcUpN     []int32
-
 	// Per-worker scratch for node presolve (lazily sized).
 	psLo, psHi [][]float64
 
@@ -104,7 +93,6 @@ type search struct {
 	roundAttempts atomic.Int64 // rounding-heuristic LP re-solves
 	roundHits     int64        // under mu: rounding incumbents installed
 	inflightHW    int          // under mu: max concurrent expansions
-	rootFixed     int64        // under mu: reduced-cost bound fixings at the root
 	lpLimited     int64        // under mu: nodes dropped because their LP hit a limit
 	wstats        []WorkerStats
 
@@ -119,8 +107,6 @@ type search struct {
 	cutRounds         int64        // root only
 	branchings        int64        // under mu: branch decisions taken
 	groupBranches     int64        // under mu
-	pcBranches        int64        // under mu
-	relFallbacks      int64        // under mu
 
 	// spare holds one recyclable lp.Solution per worker. expand hands the
 	// previous node's Solution back to SolveFromReuse once everything it
@@ -158,7 +144,7 @@ func newSearch(m *Model, opt Options) *search {
 		s.baseLo[v], s.baseHi[v] = m.prob.Bounds(v)
 	}
 	s.incBits.Store(math.Float64bits(math.Inf(1)))
-	s.frontier = nodeHeap{{bound: math.Inf(-1), bVar: -1}}
+	s.frontier = nodeHeap{{bound: math.Inf(-1)}}
 	s.inflight = make(map[int]float64, s.workers)
 	s.wstats = make([]WorkerStats, s.workers)
 	s.spare = make([]*lp.Solution, s.workers)
@@ -166,12 +152,6 @@ func newSearch(m *Model, opt Options) *search {
 	s.cutRowStart = -1
 	s.psLo = make([][]float64, s.workers)
 	s.psHi = make([][]float64, s.workers)
-	if opt.Branching == BranchPseudocost && m.NumInt() > 0 {
-		s.pcDownSum = make([]float64, nv)
-		s.pcUpSum = make([]float64, nv)
-		s.pcDownN = make([]int32, nv)
-		s.pcUpN = make([]int32, nv)
-	}
 	return s
 }
 
@@ -449,45 +429,6 @@ func (s *search) setIncumbentLocked(x []float64, obj float64, resetStall bool) {
 	s.incBits.Store(math.Float64bits(obj))
 }
 
-// rootFixLocked applies reduced-cost bound fixing at the root node:
-// moving an integer variable δ away from its nonbasic bound degrades the
-// relaxation by at least |reduced cost|·δ, so once that exceeds the gap
-// to the incumbent, the move cannot lead to an improving solution and the
-// base bound is tightened permanently. Callers hold mu, the incumbent (if
-// any) is already installed, and no child node exists yet.
-func (s *search) rootFixLocked(sol *lp.Solution, obj float64) {
-	rc := sol.ReducedCosts()
-	if rc == nil || math.IsInf(s.incObj, 1) {
-		return
-	}
-	gap := s.incObj - obj
-	if gap < 0 {
-		return
-	}
-	const eps = 1e-9
-	for v := range s.baseLo {
-		if !s.m.isInt[v] || rc[v] == 0 {
-			continue
-		}
-		lo, hi := s.baseLo[v], s.baseHi[v]
-		x := sol.X[v]
-		switch {
-		case rc[v] > eps && math.Abs(x-lo) < intTol:
-			// Nonbasic at lower bound; can rise by at most gap/rc.
-			if nh := math.Floor(x + gap/rc[v] + eps); nh < hi {
-				s.baseHi[v] = math.Max(nh, lo)
-				s.rootFixed++
-			}
-		case rc[v] < -eps && math.Abs(x-hi) < intTol:
-			// Nonbasic at upper bound; can fall by at most gap/|rc|.
-			if nl := math.Ceil(x + gap/rc[v] - eps); nl > lo {
-				s.baseLo[v] = math.Min(nl, hi)
-				s.rootFixed++
-			}
-		}
-	}
-}
-
 // expand solves the node's LP relaxation on the worker's private problem
 // and either records an incumbent or branches. The return value reports
 // whether the node counted as explored — node presolve can prove a node
@@ -508,10 +449,9 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 		for _, bc := range chain[i].changes {
 			// Intersect rather than overwrite: group branches record the
 			// absolute binary fixings {0,0}/{1,1}, which must not escape
-			// bounds the root reductions (presolve, reduced-cost fixing)
-			// have since proven — rows deleted as redundant are only
-			// redundant inside that box. An empty intersection proves the
-			// node infeasible without any LP work.
+			// bounds root presolve has since proven — rows deleted as
+			// redundant are only redundant inside that box. An empty
+			// intersection proves the node infeasible without any LP work.
 			lo, hi := prob.Bounds(bc.v)
 			lo = math.Max(lo, bc.lo)
 			hi = math.Min(hi, bc.hi)
@@ -545,19 +485,19 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 	// (the root, or a child of a node whose basis was lost) in a model
 	// with integer variables is solved cold on the full tableau, so its
 	// children get a basis to warm-start from. A model without integer
-	// variables never branches and goes through the presolving Solve,
-	// which is cheaper when the model reduces well, as the zero-binary
-	// large-scale layouts do.
+	// variables never branches and always goes through the presolving
+	// Solve, donor root basis or not: that is cheaper when the model
+	// reduces well, as the zero-binary large-scale layouts do.
 	var sol *lp.Solution
 	var err error
 	// The worker's spare Solution from the previous expansion is recycled
-	// into this solve (its X and reduced costs were copied out before it
-	// was parked); whatever Solution this expansion ends up holding is
-	// parked as the next spare on every exit path.
+	// into this solve (its X was copied out before it was parked);
+	// whatever Solution this expansion ends up holding is parked as the
+	// next spare on every exit path.
 	reuse := s.spare[id]
 	s.spare[id] = nil
 	defer func() { s.spare[id] = sol }()
-	if s.opt.NoWarmStart || (n.basis == nil && s.m.NumInt() == 0) {
+	if s.opt.NoWarmStart || s.m.NumInt() == 0 {
 		sol, err = prob.Solve()
 	} else {
 		sol, err = prob.SolveFromReuse(n.basis, reuse)
@@ -594,13 +534,6 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 	}
 	obj := sol.Obj + s.m.objC
 
-	// Feed the branching history: this node's LP degradation per unit of
-	// fractional distance is one pseudocost observation for the variable
-	// whose branch created it.
-	if s.pcDownSum != nil && n.bVar >= 0 && n.bDist > 1e-9 {
-		s.pcRecord(n.bVar, n.bUp, math.Max(obj-n.bound, 0)/n.bDist)
-	}
-
 	// Prune against the freshest published incumbent before any further
 	// work; the authoritative re-check happens under the lock below.
 	if n.parent != nil && obj >= s.loadInc()-1e-9 {
@@ -621,13 +554,11 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 	}
 
 	branchVar, branchGroup := s.m.pickBranch(sol.X)
-	groupConverted := false
 	if s.opt.NoGroupBranching && branchGroup >= 0 {
 		// Ablation mode: resolve the group with binary branching on its
 		// most fractional member instead.
 		branchGroup = -1
 		branchVar = -1
-		groupConverted = true
 		bestFrac := intTol
 		for _, g := range s.m.groups {
 			for _, v := range g {
@@ -642,28 +573,12 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 			branchVar = bv
 		}
 	}
-	// Pseudocost branching: when the history has reliable estimates for
-	// any fractional variable, it overrides the most-fractional default.
-	// The disjunction-group fast path above stays untouched, and the
-	// converted-group ablation keeps its member choice.
-	usedPC := false
-	if branchGroup < 0 && branchVar >= 0 && !groupConverted && s.pcDownSum != nil {
-		if v, ok := s.pickPseudocost(sol.X); ok {
-			branchVar = v
-			usedPC = true
-		}
-	}
-
 	// Child bound changes are prepared outside the lock; prob still holds
 	// the node's bounds, so Bounds(branchVar) sees the node-local range.
 	var downCh, upCh []boundChange
-	var fracDown, fracUp float64
 	if branchGroup < 0 && branchVar >= 0 {
-		x := sol.X[branchVar]
 		lo, hi := prob.Bounds(branchVar)
-		fl := math.Floor(x)
-		fracDown = x - fl
-		fracUp = fl + 1 - x
+		fl := math.Floor(sol.X[branchVar])
 		downCh = []boundChange{{branchVar, lo, fl}}
 		upCh = []boundChange{{branchVar, fl + 1, hi}}
 	}
@@ -691,15 +606,6 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 			s.setIncumbentLocked(sol.X, obj, reset)
 			return
 		}
-		if n.parent == nil && !s.opt.NoWarmStart {
-			// Reduced-cost bound fixing: with an incumbent already in hand
-			// (seed or root rounding hit), the root reduced costs bound how
-			// far each integer variable can move in any improving solution.
-			// The root is expanded before any child exists, so tightening
-			// the base bounds here is race-free — every later node applies
-			// its chain on top of them.
-			s.rootFixLocked(sol, obj)
-		}
 		// Children warm-start from this node's optimal basis; the snapshot
 		// is immutable and shared by all siblings.
 		nb := sol.Basis()
@@ -710,7 +616,7 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 			s.groupBranches++
 			g := s.m.groups[branchGroup]
 			for _, zero := range g {
-				ch := &node{bound: obj, depth: n.depth + 1, parent: n, seq: s.seq, basis: nb, bVar: -1}
+				ch := &node{bound: obj, depth: n.depth + 1, parent: n, seq: s.seq, basis: nb}
 				s.seq++
 				for _, v := range g {
 					if v == zero {
@@ -725,16 +631,9 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 		}
 		// Standard two-way branch on a fractional integer variable.
 		s.branchings++
-		if usedPC {
-			s.pcBranches++
-		} else {
-			s.relFallbacks++
-		}
-		down := &node{bound: obj, depth: n.depth + 1, parent: n, seq: s.seq, changes: downCh, basis: nb,
-			bVar: branchVar, bUp: false, bDist: fracDown}
+		down := &node{bound: obj, depth: n.depth + 1, parent: n, seq: s.seq, changes: downCh, basis: nb}
 		s.seq++
-		up := &node{bound: obj, depth: n.depth + 1, parent: n, seq: s.seq, changes: upCh, basis: nb,
-			bVar: branchVar, bUp: true, bDist: fracUp}
+		up := &node{bound: obj, depth: n.depth + 1, parent: n, seq: s.seq, changes: upCh, basis: nb}
 		s.seq++
 		heap.Push(&s.frontier, down)
 		heap.Push(&s.frontier, up)
@@ -755,19 +654,16 @@ func (s *search) statsSnapshot() SearchStats {
 		IncumbentUpdates:  s.incUpdates,
 		RoundingAttempts:  s.roundAttempts.Load(),
 		RoundingHits:      s.roundHits,
-		RootBoundsFixed:   s.rootFixed,
 		PerWorker:         s.wstats,
 
-		NodesPresolved:       s.nodesPresolved,
-		BoundsTightened:      s.boundsTightened.Load(),
-		RowsRemoved:          s.rowsRemoved,
-		CoefsStrengthened:    s.coefsStrengthened,
-		CutsAdded:            s.cutsAdded,
-		CutRounds:            s.cutRounds,
-		Branchings:           s.branchings,
-		GroupBranches:        s.groupBranches,
-		PseudocostBranches:   s.pcBranches,
-		ReliabilityFallbacks: s.relFallbacks,
+		NodesPresolved:    s.nodesPresolved,
+		BoundsTightened:   s.boundsTightened.Load(),
+		RowsRemoved:       s.rowsRemoved,
+		CoefsStrengthened: s.coefsStrengthened,
+		CutsAdded:         s.cutsAdded,
+		CutRounds:         s.cutRounds,
+		Branchings:        s.branchings,
+		GroupBranches:     s.groupBranches,
 	}
 	for _, w := range s.wstats {
 		st.LPSolves += w.LPSolves

@@ -80,9 +80,6 @@ type SearchStats struct {
 	// at factorization time — the m-by-m basis's actual density.
 	// A high-water mark: Merge takes the max, not the sum.
 	BasisNonzeros int64
-	// RootBoundsFixed counts integer-variable bounds tightened by
-	// reduced-cost fixing after the root relaxation.
-	RootBoundsFixed int64
 	// IncumbentUpdates counts installed incumbents (seed acceptance
 	// excluded; rounding hits and integer-feasible nodes included).
 	IncumbentUpdates int64
@@ -113,16 +110,12 @@ type SearchStats struct {
 	// identity.
 	CutsAdded int64
 	CutRounds int64
-	// Branchings counts branch decisions taken; every one is a k-way
-	// group branch, a pseudocost branch, or a most-fractional reliability
-	// fallback, so Branchings = GroupBranches + PseudocostBranches +
-	// ReliabilityFallbacks is the branching conservation identity.
-	// Ablation runs with Branching=mostfrac count every variable branch
-	// as a fallback (the fallback IS the most-fractional rule).
-	Branchings           int64
-	GroupBranches        int64
-	PseudocostBranches   int64
-	ReliabilityFallbacks int64
+	// Branchings counts branch decisions taken; GroupBranches counts
+	// those resolved by the k-way disjunction group fast path. Every
+	// other branching is a two-way branch on the most fractional integer
+	// variable, so GroupBranches ≤ Branchings always holds.
+	Branchings    int64
+	GroupBranches int64
 	// DeltaWarmStarts / DeltaFallbacks / IncumbentFromHint are the
 	// delta-aware pipeline's counters. The search itself never writes
 	// them: the layout layer increments them on the merged per-solve stats
@@ -220,7 +213,6 @@ func (st *SearchStats) Merge(other SearchStats) {
 	if other.BasisNonzeros > st.BasisNonzeros {
 		st.BasisNonzeros = other.BasisNonzeros
 	}
-	st.RootBoundsFixed += other.RootBoundsFixed
 	st.IncumbentUpdates += other.IncumbentUpdates
 	st.RoundingAttempts += other.RoundingAttempts
 	st.RoundingHits += other.RoundingHits
@@ -232,8 +224,6 @@ func (st *SearchStats) Merge(other SearchStats) {
 	st.CutRounds += other.CutRounds
 	st.Branchings += other.Branchings
 	st.GroupBranches += other.GroupBranches
-	st.PseudocostBranches += other.PseudocostBranches
-	st.ReliabilityFallbacks += other.ReliabilityFallbacks
 	st.DeltaWarmStarts += other.DeltaWarmStarts
 	st.DeltaFallbacks += other.DeltaFallbacks
 	st.IncumbentFromHint += other.IncumbentFromHint

@@ -1,8 +1,11 @@
 package milp
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"columbas/internal/lp"
 )
 
 // checkStatsConsistent asserts the internal identities every SearchStats
@@ -12,9 +15,8 @@ import (
 //     CutRounds (each expanded node costs exactly one relaxation solve;
 //     the only other solves are rounding-heuristic re-solves and the root
 //     cut loop's separation rounds) — see docs/metrics.md;
-//   - branching conservation: Branchings = GroupBranches +
-//     PseudocostBranches + ReliabilityFallbacks (every branch decision is
-//     exactly one of the three);
+//   - branching split: GroupBranches ≤ Branchings (every branch decision
+//     is a k-way group branch or a most-fractional variable branch);
 //   - per-worker totals sum to the pool totals;
 //   - the in-flight high-water mark never exceeds the pool size;
 //   - pruning counters never exceed the work that could produce them.
@@ -26,8 +28,8 @@ func checkStatsConsistent(t *testing.T, st SearchStats, workers int) {
 	if got, want := st.LPSolves, st.NodesExplored+st.RoundingAttempts+st.CutRounds; got != want {
 		t.Errorf("LP-solve conservation violated: LPSolves=%d, NodesExplored+RoundingAttempts+CutRounds=%d", got, want)
 	}
-	if got, want := st.Branchings, st.GroupBranches+st.PseudocostBranches+st.ReliabilityFallbacks; got != want {
-		t.Errorf("branching conservation violated: Branchings=%d, GroupBranches+PseudocostBranches+ReliabilityFallbacks=%d", got, want)
+	if st.GroupBranches > st.Branchings {
+		t.Errorf("branching split violated: GroupBranches %d > Branchings %d", st.GroupBranches, st.Branchings)
 	}
 	if got, want := st.LPSolves, st.WarmStarts+st.ColdSolves; got != want {
 		t.Errorf("warm-start conservation violated: LPSolves=%d, WarmStarts+ColdSolves=%d", got, want)
@@ -188,41 +190,51 @@ func TestWarmStartEngaged(t *testing.T) {
 	checkStatsConsistent(t, cold.Stats, 1)
 }
 
-// TestRootReducedCostFixing: with a seeded incumbent, root reduced costs
-// must tighten at least one bound on a model built so that an expensive
-// binary can be fixed to zero, without changing the optimum.
-func TestRootReducedCostFixing(t *testing.T) {
+// TestPureLPIgnoresRootBasis: a model without integer variables never
+// branches, so its one LP always takes the presolving Solve. A donor
+// root basis — here the model's own optimal basis, so it is compatible —
+// must neither warm-start that LP nor cost a fallback, and the solve
+// must match one without the donor pivot for pivot.
+func TestPureLPIgnoresRootBasis(t *testing.T) {
 	build := func() *Model {
 		m := NewModel()
-		a := m.Binary("a") // fractional at the root (2a ≥ 1 → a = 0.5)
-		b := m.Binary("b") // expensive alternative: rc ≫ gap, fixable to 0
-		m.AddGE(T(a, 2).Add(b, 2), 1)
-		m.Minimize(T(a, 1).Add(b, 10))
+		var xs []VarID
+		for i := 0; i < 6; i++ {
+			xs = append(xs, m.Var(fmt.Sprintf("x%d", i), 0, 10))
+		}
+		m.AddGE(Sum(xs[0], xs[1], xs[2]), 7)
+		m.AddGE(Sum(xs[3], xs[4], xs[5]), 5)
+		m.AddLE(Sum(xs[0], xs[3]), 6)
+		m.AddLE(Sum(xs[1], xs[4]), 4)
+		m.AddLE(T(xs[2], 2).Add(xs[5], 1), 9)
+		m.Minimize(T(xs[0], 3).Add(xs[1], 1).Add(xs[2], 4).Add(xs[3], 2).Add(xs[4], 5).Add(xs[5], 1))
 		return m
 	}
-	// Root cuts and coefficient strengthening close this tiny model's gap
-	// before reduced-cost fixing can fire; ablate them so the test keeps
-	// exercising the fixing path specifically.
-	seed := []float64{1, 0} // feasible incumbent: obj 1; root relaxation 0.5
-	res, err := build().Solve(Options{Start: seed, Workers: 1, NoCuts: true, NoPresolve: true})
-	if err != nil {
-		t.Fatal(err)
+	donor, err := build().prob.Clone().SolveFrom(nil)
+	if err != nil || donor.Status != lp.Optimal || donor.Basis() == nil {
+		t.Fatalf("donor solve: %v %v", donor, err)
 	}
-	if res.Status != Optimal || res.Obj > 1+1e-6 {
-		t.Fatalf("status %v obj %v", res.Status, res.Obj)
-	}
-	if res.Stats.RootBoundsFixed == 0 {
-		t.Errorf("expected reduced-cost fixing to fire on b (rc≈9, gap≈0.5): %+v", res.Stats)
-	}
-	off, err := build().Solve(Options{Start: seed, Workers: 1, NoWarmStart: true, NoCuts: true, NoPresolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Stats.RootBoundsFixed != 0 {
-		t.Errorf("NoWarmStart must disable root fixing, got %d", off.Stats.RootBoundsFixed)
-	}
-	if d := res.Obj - off.Obj; d > 1e-6 || d < -1e-6 {
-		t.Errorf("fixing changed the optimum: %v vs %v", res.Obj, off.Obj)
+	for _, noPre := range []bool{false, true} {
+		plain, err := build().Solve(Options{Workers: 1, NoPresolve: noPre})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hinted, err := build().Solve(Options{Workers: 1, NoPresolve: noPre, RootBasis: donor.Basis()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Status != Optimal || hinted.Status != Optimal {
+			t.Fatalf("NoPresolve=%v: status %v / %v", noPre, plain.Status, hinted.Status)
+		}
+		if hinted.Stats.WarmStarts != 0 || hinted.Stats.WarmStartFallbacks != 0 {
+			t.Errorf("NoPresolve=%v: donor basis reached the pure LP: %d warm starts, %d fallbacks",
+				noPre, hinted.Stats.WarmStarts, hinted.Stats.WarmStartFallbacks)
+		}
+		if hinted.Obj != plain.Obj || hinted.Stats.SimplexPivots != plain.Stats.SimplexPivots {
+			t.Errorf("NoPresolve=%v: hinted obj %v / %d pivots, plain obj %v / %d pivots", noPre,
+				hinted.Obj, hinted.Stats.SimplexPivots, plain.Obj, plain.Stats.SimplexPivots)
+		}
+		checkStatsConsistent(t, hinted.Stats, 1)
 	}
 }
 
@@ -250,13 +262,13 @@ func TestSearchStatsMerge(t *testing.T) {
 		Workers: 2, NodesExplored: 10, NodesPruned: 2, NodesCutoff: 1,
 		InFlightHighWater: 2, LPSolves: 11, SimplexPivots: 100,
 		WarmStarts: 8, ColdSolves: 3, WarmStartFallbacks: 1,
-		WarmPivots: 40, ColdPivots: 60, Phase1Rows: 30, RootBoundsFixed: 2,
+		WarmPivots: 40, ColdPivots: 60, Phase1Rows: 30,
 		EtaUpdates: 90, Refactorizations: 4, WorkspaceReuses: 6,
 		SparseRefactorizations: 4, FillIn: 12, BasisNonzeros: 40,
 		IncumbentUpdates: 3, RoundingAttempts: 1, RoundingHits: 1,
 		NodesPresolved: 2, BoundsTightened: 7, RowsRemoved: 1, CoefsStrengthened: 3,
 		CutsAdded: 5, CutRounds: 2,
-		Branchings: 9, GroupBranches: 4, PseudocostBranches: 3, ReliabilityFallbacks: 2,
+		Branchings: 9, GroupBranches: 4,
 		Wall:      time.Second,
 		PerWorker: []WorkerStats{{Nodes: 6, WarmStarts: 5, EtaUpdates: 50}, {Nodes: 4, WarmStarts: 3, EtaUpdates: 40}},
 	}
@@ -266,16 +278,16 @@ func TestSearchStatsMerge(t *testing.T) {
 		EtaUpdates: 10, Refactorizations: 1, WorkspaceReuses: 3,
 		SparseRefactorizations: 1, FillIn: 4, BasisNonzeros: 25,
 		NodesPresolved: 1, BoundsTightened: 3, CutsAdded: 2, CutRounds: 1,
-		Branchings: 2, PseudocostBranches: 1, ReliabilityFallbacks: 1,
-		Wall:      time.Second,
-		PerWorker: []WorkerStats{{Nodes: 2, WarmStarts: 4, EtaUpdates: 10}, {Nodes: 1}, {Nodes: 1}, {Nodes: 1}},
+		Branchings: 2,
+		Wall:       time.Second,
+		PerWorker:  []WorkerStats{{Nodes: 2, WarmStarts: 4, EtaUpdates: 10}, {Nodes: 1}, {Nodes: 1}, {Nodes: 1}},
 	}
 	a.Merge(b)
 	if a.Workers != 4 || a.NodesExplored != 15 || a.LPSolves != 16 || a.InFlightHighWater != 3 {
 		t.Fatalf("merge totals wrong: %+v", a)
 	}
 	if a.WarmStarts != 12 || a.ColdSolves != 4 || a.WarmStartFallbacks != 1 ||
-		a.WarmPivots != 50 || a.ColdPivots != 60 || a.Phase1Rows != 36 || a.RootBoundsFixed != 2 {
+		a.WarmPivots != 50 || a.ColdPivots != 60 || a.Phase1Rows != 36 {
 		t.Fatalf("warm-start merge totals wrong: %+v", a)
 	}
 	if a.LPSolves != a.WarmStarts+a.ColdSolves {
@@ -294,11 +306,8 @@ func TestSearchStatsMerge(t *testing.T) {
 		a.CoefsStrengthened != 3 || a.CutsAdded != 7 || a.CutRounds != 3 {
 		t.Fatalf("presolve/cut counter merge totals wrong: %+v", a)
 	}
-	if a.Branchings != 11 || a.GroupBranches != 4 || a.PseudocostBranches != 4 || a.ReliabilityFallbacks != 3 {
+	if a.Branchings != 11 || a.GroupBranches != 4 {
 		t.Fatalf("branching counter merge totals wrong: %+v", a)
-	}
-	if a.Branchings != a.GroupBranches+a.PseudocostBranches+a.ReliabilityFallbacks {
-		t.Fatalf("merge broke the branching conservation identity: %+v", a)
 	}
 	if a.PerWorker[0].EtaUpdates != 60 || a.PerWorker[1].EtaUpdates != 40 {
 		t.Fatalf("per-worker kernel counter merge wrong: %+v", a.PerWorker)

@@ -9,8 +9,9 @@ import (
 	"columbas/internal/milp"
 )
 
-// matrixCells enumerates the 2×2×2 differential grid: presolve on/off
-// × cuts on/off × pseudocost/most-fractional branching.
+// matrixCells enumerates the 2×2 differential grid: presolve on/off ×
+// cuts on/off. Every cell branches most-fractionally, the solver's only
+// variable rule; the cell names keep their branch=mostfrac suffix.
 func matrixCells() []struct {
 	name string
 	opt  milp.Options
@@ -21,25 +22,22 @@ func matrixCells() []struct {
 	}
 	for _, pre := range []bool{false, true} {
 		for _, cut := range []bool{false, true} {
-			for _, br := range []milp.BranchRule{milp.BranchPseudocost, milp.BranchMostFractional} {
-				cells = append(cells, struct {
-					name string
-					opt  milp.Options
-				}{
-					name: fmt.Sprintf("presolve=%v,cuts=%v,branch=%v", !pre, !cut, br),
-					opt: milp.Options{
-						NoPresolve: pre,
-						NoCuts:     cut,
-						Branching:  br,
-					},
-				})
-			}
+			cells = append(cells, struct {
+				name string
+				opt  milp.Options
+			}{
+				name: fmt.Sprintf("presolve=%v,cuts=%v,branch=mostfrac", !pre, !cut),
+				opt: milp.Options{
+					NoPresolve: pre,
+					NoCuts:     cut,
+				},
+			})
 		}
 	}
 	return cells
 }
 
-// TestMPSCorpusSolverMatrix solves every corpus instance in all 8
+// TestMPSCorpusSolverMatrix solves every corpus instance in all 4
 // configuration cells and requires the identical status and (for
 // optimal instances) the identical objective in every cell. Instances
 // with at most 12 integer variables are additionally cross-checked

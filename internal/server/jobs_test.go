@@ -601,6 +601,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"v2 removed option kernel", "POST", "/v2/jobs", "application/json",
 			`{"netlist":"design d\nunit m1 mixer\nconnect in:a m1\nconnect m1 out:w\n","options":{"kernel":"dense"}}`,
 			http.StatusBadRequest, CodeBadRequest},
+		{"v2 removed option branching", "POST", "/v2/jobs", "application/json",
+			`{"netlist":"design d\nunit m1 mixer\nconnect in:a m1\nconnect m1 out:w\n","options":{"branching":"mostfrac"}}`,
+			http.StatusBadRequest, CodeBadRequest},
 		{"v2 unknown job", "GET", "/v2/jobs/doesnotexist", "", "",
 			http.StatusNotFound, CodeJobNotFound},
 		{"v2 unknown job result", "GET", "/v2/jobs/doesnotexist/result", "", "",

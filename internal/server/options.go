@@ -70,7 +70,6 @@ func (s *Server) resolveOptions(sp core.OptionSpec) (core.Options, time.Duration
 	base := core.DefaultOptions()
 	base.Layout.Workers = s.cfg.Workers
 	base.Layout.NoPresolve = s.cfg.NoPresolve
-	base.Layout.Branching = s.cfg.Branching
 	base.NoDelta = s.cfg.NoDelta
 	opt, err := sp.Apply(base)
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 
 	"columbas/internal/core"
 	"columbas/internal/export"
-	"columbas/internal/milp"
 	"columbas/internal/obs"
 )
 
@@ -67,9 +66,6 @@ type Config struct {
 	// served by this process: no similarity-index donors, no /v2/explore
 	// hint chaining — every solve runs cold (ablation deployments).
 	NoDelta bool
-	// Branching selects the branch-and-bound variable selection rule;
-	// the zero value is pseudocost branching.
-	Branching milp.BranchRule
 }
 
 // drainRetryAfter is the backoff hint sent with draining refusals: the
@@ -120,7 +116,6 @@ type Server struct {
 	nodesPresolve atomic.Int64
 	boundsTight   atomic.Int64
 	branchings    atomic.Int64
-	pcBranches    atomic.Int64
 	deltaWarms    atomic.Int64
 	deltaFBs      atomic.Int64
 	incFromHint   atomic.Int64
@@ -285,8 +280,7 @@ type RequestStats struct {
 // The search-tree reduction family (cuts_added onward) mirrors the same
 // health story for the branch-and-bound layer: cuts_added and
 // bounds_tightened near zero on a default deployment mean the reductions
-// have nothing to bite on; pseudocost_branches near branchings means the
-// reliability phase has converged.
+// have nothing to bite on.
 type SolverStats struct {
 	LPSolves         int64 `json:"lp_solves"`
 	SimplexPivots    int64 `json:"simplex_pivots"`
@@ -304,14 +298,18 @@ type SolverStats struct {
 	// FillIn is the cumulative LU fill, and BasisNonzeros the high-water
 	// basis density seen by any worker (a max across requests, not a
 	// sum).
-	FillIn             int64 `json:"fill_in"`
-	BasisNonzeros      int64 `json:"basis_nonzeros"`
-	WorkspaceReuses    int64 `json:"workspace_reuses"`
-	CutsAdded          int64 `json:"cuts_added"`
-	CutRounds          int64 `json:"cut_rounds"`
-	NodesPresolved     int64 `json:"nodes_presolved"`
-	BoundsTightened    int64 `json:"bounds_tightened"`
-	Branchings         int64 `json:"branchings"`
+	FillIn          int64 `json:"fill_in"`
+	BasisNonzeros   int64 `json:"basis_nonzeros"`
+	WorkspaceReuses int64 `json:"workspace_reuses"`
+	CutsAdded       int64 `json:"cuts_added"`
+	CutRounds       int64 `json:"cut_rounds"`
+	NodesPresolved  int64 `json:"nodes_presolved"`
+	BoundsTightened int64 `json:"bounds_tightened"`
+	Branchings      int64 `json:"branchings"`
+	// PseudocostBranches is always 0.
+	//
+	// Deprecated: branch and bound has one variable rule, most-fractional,
+	// and no pseudocost branching.
 	PseudocostBranches int64 `json:"pseudocost_branches"`
 	// The delta family mirrors the milp_delta_* counters: warm starts and
 	// fallbacks of the delta-aware pipeline, and incumbents seeded from a
@@ -347,7 +345,6 @@ func (s *Server) recordSolverStats(res *core.Result) {
 	s.nodesPresolve.Add(se.NodesPresolved)
 	s.boundsTight.Add(se.BoundsTightened)
 	s.branchings.Add(se.Branchings)
-	s.pcBranches.Add(se.PseudocostBranches)
 	s.deltaWarms.Add(se.DeltaWarmStarts)
 	s.deltaFBs.Add(se.DeltaFallbacks)
 	s.incFromHint.Add(se.IncumbentFromHint)
@@ -393,7 +390,6 @@ func (s *Server) snapshot() Stats {
 			NodesPresolved:         s.nodesPresolve.Load(),
 			BoundsTightened:        s.boundsTight.Load(),
 			Branchings:             s.branchings.Load(),
-			PseudocostBranches:     s.pcBranches.Load(),
 			DeltaWarmStarts:        s.deltaWarms.Load(),
 			DeltaFallbacks:         s.deltaFBs.Load(),
 			IncumbentFromHint:      s.incFromHint.Load(),

@@ -72,9 +72,9 @@ func newDesignFP(n *netlist.Netlist, opt core.Options) *designFP {
 		fmt.Fprintf(oh, "|par=%v", gs)
 	}
 	lo := opt.Layout
-	fmt.Fprintf(oh, "|eff=%d|gthr=%d|skip=%t|noseed=%t|eager=%t|nows=%t|nopre=%t|br=%d",
+	fmt.Fprintf(oh, "|eff=%d|gthr=%d|skip=%t|noseed=%t|eager=%t|nows=%t|nopre=%t",
 		lo.Effort, lo.GuidedThreshold, lo.SkipMILP, lo.NoSeed, lo.EagerSeparation,
-		lo.NoWarmStart, lo.NoPresolve, lo.Branching)
+		lo.NoWarmStart, lo.NoPresolve)
 	fp.optHash = oh.Sum64()
 	fp.weights = [4]float64{lo.Alpha, lo.Beta, lo.Gamma, lo.Kappa}
 	return fp

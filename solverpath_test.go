@@ -53,6 +53,13 @@ func TestLayoutSolverPathTable1(t *testing.T) {
 			if se.CutRounds != 0 || se.CutsAdded != 0 {
 				t.Errorf("%s: root cuts ran on the layout path: %d rounds, %d cuts", name, se.CutRounds, se.CutsAdded)
 			}
+			// The layout model's only integers are the disjunction
+			// binaries, so every branching is a k-way group branch and
+			// the variable rule is never consulted.
+			if se.Branchings != se.GroupBranches {
+				t.Errorf("%s: %d of %d branchings were variable branches",
+					name, se.Branchings-se.GroupBranches, se.Branchings)
+			}
 			if se.SparseRefactorizations != se.Refactorizations {
 				t.Errorf("%s: %d of %d refactorizations reported sparse",
 					name, se.SparseRefactorizations, se.Refactorizations)
