@@ -17,7 +17,7 @@
 #   make verify         vet (with gofmt) + race + fuzz smoke + conformance + docs check + serve check + loadtest smoke + delta smoke + milp check (CI gate)
 #   make bench-solver   the sequential-vs-parallel solver benchmark pair
 #   make bench-warmstart warm vs cold pivot/wall numbers for EXPERIMENTS.md
-#   make bench-kernel   LP-kernel benchmarks (warm path, chip256's one-shot LP) with -benchmem + the zero-alloc gate
+#   make bench-kernel   LP-kernel benchmarks (warm path, chip256's one-shot LP, chip128-2's cold root) with -benchmem + the zero-alloc gate
 
 GO ?= go
 
@@ -200,12 +200,14 @@ bench-warmstart:
 # The LP-kernel gate: the steady-state warm path must stay at exactly
 # 0 allocs/op (TestSolveFromSteadyStateAllocs fails otherwise), then the
 # kernel benchmarks report ns/op and allocs/op for eyeballing: the two
-# branch-and-bound warm-path benchmarks, and chip256's round-2 guided LP
-# through the one-shot Solve path with its pivots and refactorizations.
+# branch-and-bound warm-path benchmarks, chip256's round-2 guided LP
+# through the one-shot Solve path with its pivots and refactorizations,
+# and chip128-2's round-1 root through the cold SolveFrom(nil) path that
+# branch and bound takes, with its pivots and phase-1 rows.
 bench-kernel:
 	$(GO) test -run 'TestSolveFromSteadyStateAllocs' -count=1 ./internal/lp/
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveFrom' -benchmem -count=1 ./internal/lp/
-	$(GO) test -run '^$$' -bench 'BenchmarkSolveOneShot' -benchmem -count=1 ./internal/layout/
+	$(GO) test -run '^$$' -bench 'BenchmarkSolve(OneShot|ColdRoot)' -benchmem -count=1 ./internal/layout/
 
 bench:
 	$(GO) test -bench . -benchmem .

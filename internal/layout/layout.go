@@ -220,8 +220,8 @@ type Options struct {
 	// of lazy separation).
 	EagerSeparation bool `json:"eager_separation,omitempty"`
 	// NoWarmStart disables LP basis reuse between branch-and-bound nodes
-	// (milp.Options.NoWarmStart), solving every relaxation cold from an
-	// artificial basis (ablation: measures the value of warm starts; the
+	// (milp.Options.NoWarmStart), solving every relaxation cold from a
+	// slack crash basis (ablation: measures the value of warm starts; the
 	// seed solver's behaviour, used by make bench-warmstart as the
 	// "before" side).
 	NoWarmStart bool `json:"no_warmstart,omitempty"`
@@ -305,13 +305,15 @@ type Plan struct {
 	Rects  []*PRect
 	Planar *planar.Result
 	Stats  SolveStats
-	// ActivePairs names the rect pairs whose non-overlap disjunctions
-	// the lazy separation loop converged on, and RootBasis the final
-	// MILP round's root LP basis — the donor payload HintFromPlan packs
-	// into a WarmHint for the next similar solve. Both are nil on
-	// seed-only plans and never serialize.
-	ActivePairs [][2]string `json:"-"`
-	RootBasis   *lp.Basis   `json:"-"`
+	// ActivePairs indexes, into Rects, the rect pairs whose
+	// non-overlap disjunctions the lazy separation loop converged on,
+	// and RootBasis the final MILP round's root LP basis — the donor
+	// payload HintFromPlan packs into a WarmHint for the next similar
+	// solve. Both are nil on seed-only plans and never serialize. Pairs
+	// are kept as int32 indices, a quarter of the size of name pairs:
+	// a served design keeps its plan for as long as it is cached.
+	ActivePairs [][2]int32 `json:"-"`
+	RootBasis   *lp.Basis  `json:"-"`
 }
 
 // Rect returns the named rect, or nil.

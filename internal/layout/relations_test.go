@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"columbas/internal/cases"
+	"columbas/internal/lp"
 	"columbas/internal/milp"
 	"columbas/internal/planar"
 )
@@ -184,17 +185,15 @@ func solveGuidedLP(tb testing.TB, id string, m *milp.Model) *milp.Result {
 	return res
 }
 
-// guidedRound2 builds case id at one MUX up to its round-2 guided model:
-// round 1 places every rect without relations, and the pairs it leaves
-// overlapping are round 2's relation set. The returned builder's model
-// is round 2's reduced model.
-func guidedRound2(tb testing.TB, id string) (*builder, [][2]int) {
+// caseBuilder planarizes case id at the given MUX count and returns its
+// layout builder, greedy seed placed, under the default options.
+func caseBuilder(tb testing.TB, id string, muxes int) *builder {
 	tb.Helper()
 	c, err := cases.Get(id)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	n, err := c.WithMuxes(1).Netlist()
+	n, err := c.WithMuxes(muxes).Netlist()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -208,6 +207,16 @@ func guidedRound2(tb testing.TB, id string) (*builder, [][2]int) {
 	}
 	b.greedyPlace()
 	b.snapshotSeed()
+	return b
+}
+
+// guidedRound2 builds case id at one MUX up to its round-2 guided model:
+// round 1 places every rect without relations, and the pairs it leaves
+// overlapping are round 2's relation set. The returned builder's model
+// is round 2's reduced model.
+func guidedRound2(tb testing.TB, id string) (*builder, [][2]int) {
+	tb.Helper()
+	b := caseBuilder(tb, id, 1)
 	b.buildMILP(true, nil)
 	b.applySolution(solveGuidedLP(tb, id, b.model))
 	active := b.overlappingPairs(nil)
@@ -228,4 +237,34 @@ func BenchmarkSolveOneShotChip256(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.Stats.SimplexPivots), "pivots/op")
 	b.ReportMetric(float64(res.Stats.Refactorizations), "refactors/op")
+}
+
+// BenchmarkSolveColdRootChip128 times the cold root that branch and
+// bound solves at the start of every separation round, on the Table 1
+// design where it is largest: chip128's round-1 model at two MUXes
+// (592 rows, 36 binaries), relaxed to an LP as the model stands before
+// the search's root presolve, and solved through SolveFrom(nil), the
+// basis-less full-tableau path. Every iteration is a cold start on the
+// problem's reused workspace, as a worker's root solve is.
+func BenchmarkSolveColdRootChip128(b *testing.B) {
+	bl := caseBuilder(b, "chip128", 2)
+	bl.buildMILP(len(bl.rects) > DefaultOptions().GuidedThreshold, nil)
+	m := bl.model
+	p := lp.NewProblem()
+	for v := 0; v < m.NumVars(); v++ {
+		lo, hi := m.Bounds(milp.VarID(v))
+		p.AddVar(lo, hi, m.ObjCoef(milp.VarID(v)))
+	}
+	for _, r := range m.Rows() {
+		p.AddConstraint(r.Terms, r.Sense, r.RHS)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sol, err := p.SolveFrom(nil); err != nil || sol.Status != lp.Optimal {
+			b.Fatalf("root LP: status %v, err %v", sol.Status, err)
+		}
+	}
+	b.ReportMetric(float64(p.PivotCount())/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(p.Phase1RowCount())/float64(b.N), "phase1_rows/op")
 }

@@ -342,7 +342,7 @@ func (b *builder) solve(opt Options) (*Plan, error) {
 	plan.Stats.Rounds = rounds
 	// Donor payload for the next similar solve: the converged pair set
 	// and the final round's root basis (see HintFromPlan).
-	plan.ActivePairs = b.pairNames(active)
+	plan.ActivePairs = packPairs(active)
 	plan.RootBasis = last.RootBasis
 	return plan, nil
 }

@@ -40,7 +40,7 @@ func HintFromPlan(p *Plan) *WarmHint {
 	h := &WarmHint{
 		Boxes:       make(map[string]geom.Rect, len(p.Rects)),
 		Tops:        make(map[string]bool),
-		ActivePairs: p.ActivePairs,
+		ActivePairs: p.pairNames(),
 		RootBasis:   p.RootBasis,
 	}
 	for _, r := range p.Rects {
@@ -84,15 +84,28 @@ func (b *builder) hintPairs(h *WarmHint, have map[[2]int]bool) [][2]int {
 	return out
 }
 
-// pairNames maps active pair indices back to rect names — the stable
-// form a WarmHint carries across model rebuilds.
-func (b *builder) pairNames(active [][2]int) [][2]string {
+// packPairs copies the active pair indices into the plan's compact,
+// exactly sized form (nil when there are none).
+func packPairs(active [][2]int) [][2]int32 {
 	if len(active) == 0 {
 		return nil
 	}
-	out := make([][2]string, 0, len(active))
-	for _, p := range active {
-		out = append(out, [2]string{b.rects[p[0]].Name, b.rects[p[1]].Name})
+	out := make([][2]int32, len(active))
+	for k, pr := range active {
+		out[k] = [2]int32{int32(pr[0]), int32(pr[1])}
+	}
+	return out
+}
+
+// pairNames maps the plan's active pair indices back to rect names —
+// the stable identity a donor hint carries across edits.
+func (p *Plan) pairNames() [][2]string {
+	if len(p.ActivePairs) == 0 {
+		return nil
+	}
+	out := make([][2]string, len(p.ActivePairs))
+	for k, pr := range p.ActivePairs {
+		out[k] = [2]string{p.Rects[pr[0]].Name, p.Rects[pr[1]].Name}
 	}
 	return out
 }

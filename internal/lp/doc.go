@@ -12,7 +12,9 @@
 //
 // The implementation is a textbook revised simplex with bound-flip ratio
 // tests, Dantzig pricing with a Bland's-rule fallback for anti-cycling,
-// and a phase-1 artificial-variable start. The basis is held as sparse LU
+// and a slack crash start: a cold solve puts each row whose own slack
+// absorbs the start residual on that slack, and gives only the violated
+// rows a phase-1 artificial. The basis is held as sparse LU
 // factors with product-form (eta) updates, refactorized every 512
 // updates — and, on the one-shot Solve path, as soon as the eta file
 // holds more nonzeros than the factors — and cached across warm-started

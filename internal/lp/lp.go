@@ -252,7 +252,7 @@ type Solution struct {
 	Iters  int       // simplex iterations across both phases
 
 	basis  *Basis // optimal basis snapshot (nil when unavailable)
-	p1rows int    // rows the artificial phase 1 had to process
+	p1rows int    // rows that started phase 1 on an artificial
 }
 
 // Basis returns a snapshot of the optimal simplex basis, or nil when the
@@ -338,6 +338,9 @@ type tableau struct {
 	// the one-shot Solve sets it (see coldFull for why branch and bound
 	// keeps the count trigger alone).
 	fillRefactor bool
+	// p1rows counts the rows the cold start left on a basic artificial:
+	// the rows phase 1 has to repair (zero on a warm tableau).
+	p1rows int
 
 	// Per-run kernel tallies, folded into the Problem counters only when
 	// the run's result is actually returned (abandoned warm attempts
@@ -355,10 +358,10 @@ type tableau struct {
 }
 
 // Solve optimises the problem with the current bounds and costs: a
-// one-shot solve, presolved when the rows allow it, from an artificial
-// basis. It refactorizes the basis as soon as the eta file holds more
-// nonzeros than the LU factors, as well as every refactorEvery updates;
-// SolveFrom keeps the count trigger alone.
+// one-shot solve, presolved when the rows allow it, from a slack crash
+// basis (see newTableau). It refactorizes the basis as soon as the eta
+// file holds more nonzeros than the LU factors, as well as every
+// refactorEvery updates; SolveFrom keeps the count trigger alone.
 func (p *Problem) Solve() (*Solution, error) {
 	sol, err := p.solve()
 	if sol != nil {
@@ -385,7 +388,7 @@ func (p *Problem) PivotCount() int64 { return p.pivots }
 func (p *Problem) WarmStartCount() int64 { return p.warmSolves }
 
 // ColdSolveCount returns the number of solves that went through the full
-// two-phase method from an artificial basis: every plain Solve, every
+// two-phase method from a slack crash basis: every plain Solve, every
 // SolveFrom without a usable basis, and every warm-start fallback.
 // SolveCount() == WarmStartCount() + ColdSolveCount() always holds.
 func (p *Problem) ColdSolveCount() int64 { return p.coldSolves }
@@ -404,9 +407,11 @@ func (p *Problem) WarmPivotCount() int64 { return p.warmPivots }
 // solves, phase 1 included.
 func (p *Problem) ColdPivotCount() int64 { return p.pivots - p.warmPivots }
 
-// Phase1RowCount returns the cumulative constraint-row count processed by
-// artificial phase-1 runs — the work warm starts exist to avoid. A warm
-// start contributes zero; every cold solve contributes its row count.
+// Phase1RowCount returns the cumulative count of rows that started
+// phase 1 on an artificial — the rows the cold start found violated,
+// and the repair work warm starts exist to avoid. A warm start
+// contributes zero; a cold solve contributes its violated rows, zero
+// when its start point satisfies every row.
 func (p *Problem) Phase1RowCount() int64 { return p.phase1Rows }
 
 // EtaUpdateCount returns the cumulative product-form (eta) updates
@@ -422,8 +427,8 @@ func (p *Problem) EtaUpdateCount() int64 { return p.etaUpdates }
 // refactorizations that flush the eta file — every refactorEvery
 // updates (see SetRefactorInterval) and, in Solve, whenever the eta
 // file outgrows the factors.
-// The diagonal artificial start basis of a cold solve is installed in
-// place and is not counted.
+// The diagonal slack-and-artificial start basis of a cold solve is
+// installed in place and is not counted.
 func (p *Problem) RefactorizationCount() int64 { return p.refactors }
 
 // WorkspaceReuseCount returns the number of completed solves that
@@ -480,7 +485,7 @@ func (p *Problem) FillInCount() int64 { return p.fillIn }
 
 // BasisNonzeroPeak returns the largest basis-matrix nonzero count
 // observed at factorization time (a high-water mark, not a sum). Solves
-// that never refactorize — the cold start's diagonal artificial basis is
+// that never refactorize — the cold start's diagonal crash basis is
 // written in place — contribute nothing.
 func (p *Problem) BasisNonzeroPeak() int64 { return p.basisNnzPeak }
 
@@ -580,10 +585,16 @@ func (p *Problem) prepTableau() *tableau {
 	return t
 }
 
-// newTableau builds the cold-start tableau: nonbasic structurals and
-// slacks on their nearest bounds, and a signed artificial basis
-// absorbing the residuals, factorized in place as the trivial LU of
-// B = diag(±1).
+// newTableau builds the cold-start tableau on a slack crash basis:
+// nonbasic structurals on their nearest bounds, and in each row either
+// the row's own slack or a signed artificial. A row whose slack can take
+// the start residual within its bounds (LE: ≥ 0, GE: ≤ 0, EQ: exactly 0)
+// already holds, so its slack is basic and its artificial nonbasic,
+// fixed at 0 with coefficient +1 — the warm-path convention, so
+// saveCache still accepts the final basis. Only a violated row gets a
+// basic artificial absorbing its residual, and only those rows enter
+// phase 1 (p1rows). Slacks and artificials are unit columns, so
+// B = diag(±1) is factorized in place as a trivial LU.
 func (p *Problem) newTableau() *tableau {
 	t := p.prepTableau()
 	m := t.m
@@ -599,12 +610,12 @@ func (p *Problem) newTableau() *tableau {
 			t.state[v], t.x[v] = atLo, 0 // free variable pinned at 0
 		}
 	}
-	// Artificial basis absorbing the residuals. This overwrites the
-	// factors, so any cached factorization is gone until saveCache
-	// re-validates one. The signed diagonal below is an exact
-	// factorization of the start basis, so the drift counter restarts
-	// from zero — without this, repeated cold solves accumulate toward
-	// refactorEvery and pay needless mid-solve refactorizations.
+	// Crash basis absorbing the residuals. This overwrites the factors,
+	// so any cached factorization is gone until saveCache re-validates
+	// one. The signed diagonal below is an exact factorization of the
+	// start basis, so the drift counter restarts from zero — without
+	// this, repeated cold solves accumulate toward refactorEvery and pay
+	// needless mid-solve refactorizations.
 	t.ws.basisValid = false
 	t.ws.updatesSinceRefactor = 0
 	t.f.setIdentity(m)
@@ -619,17 +630,28 @@ func (p *Problem) newTableau() *tableau {
 		}
 	}
 	for i := 0; i < m; i++ {
-		a := t.nArt + i
+		s, a, r := t.nStru+i, t.nArt+i, resid[i]
+		if r >= t.lo[s] && r <= t.hi[s] {
+			// The row holds: its slack takes the residual (slack columns
+			// are +1 units, so uDiag stays 1).
+			t.cols[a][0] = Term{Var: i, Coef: 1}
+			t.lo[a], t.hi[a] = 0, 0
+			t.state[a], t.x[a] = atLo, 0
+			t.basis[i] = s
+			t.state[s], t.x[s] = basic, r
+			continue
+		}
 		sign := 1.0
-		if resid[i] < 0 {
+		if r < 0 {
 			sign = -1
 		}
 		t.cols[a][0] = Term{Var: i, Coef: sign}
 		t.lo[a], t.hi[a] = 0, Inf
 		t.basis[i] = a
 		t.state[a] = basic
-		t.x[a] = math.Abs(resid[i])
+		t.x[a] = math.Abs(r)
 		t.f.uDiag[i] = sign // B = diag(±1): a trivial U, no L
+		t.p1rows++
 	}
 	return t
 }

@@ -132,8 +132,9 @@ func (f *sparseLU) resetEtas() {
 }
 
 // setIdentity installs the trivial factorization of a diagonal basis
-// (the cold start's signed artificial basis): L empty, U diagonal 1 —
-// the caller overwrites uDiag entries with the ±1 signs.
+// (the cold start's slack crash basis): L empty, U diagonal 1 — the
+// caller overwrites the uDiag entries of rows that start on a
+// sign-flipped artificial with −1.
 func (f *sparseLU) setIdentity(m int) {
 	f.ensure(m)
 	f.resetEtas()

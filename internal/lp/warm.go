@@ -104,23 +104,23 @@ func (p *Problem) solveFrom(basis *Basis, recycle *Solution) (sol *Solution, war
 	return p.coldFull(recycle, false), false
 }
 
-// coldFull is the full-tableau two-phase solve from the artificial
-// basis. It bypasses presolve, so an optimal result carries a reusable
-// basis. A run that claims optimality on a bound- or row-violating
-// point, drives the basis numerically singular (invBad), or claims
-// infeasibility after tripping the pivot-stability guard was corrupted
-// by accumulated drift: it is re-run once from scratch under Bland's
-// rule, whose cautious pricing walks a different (and far more stable)
-// pivot path, and the abandoned run's tallies are dropped, like a
-// failed warm attempt.
+// coldFull is the full-tableau two-phase solve from the slack crash
+// basis (see newTableau). It bypasses presolve, so an optimal result
+// carries a reusable basis. A run that claims optimality on a bound- or
+// row-violating point, drives the basis numerically singular (invBad),
+// or claims infeasibility after tripping the pivot-stability guard was
+// corrupted by accumulated drift: it is re-run once from scratch under
+// Bland's rule, whose cautious pricing walks a different (and far more
+// stable) pivot path, and the abandoned run's tallies are dropped, like
+// a failed warm attempt.
 //
 // fillRefactor sets the eta-fill refactorization trigger (see applyEta)
 // on both runs. The one-shot Solve sets it. Branch and bound — the
 // SolveFrom fallback and the basis-less integer root — keeps the count
-// trigger alone: refactorizing changes the last bits of every solve,
-// which moves the cold MILP root of chip128-2 onto another optimal
-// vertex, and its search then ends at objective 2799.94 with 34 control
-// inlets instead of 2113.95 with 32.
+// trigger alone: refactorizing changes the last bits of every solve and
+// so the vertex a cold MILP root lands on, which has moved chip128-2's
+// control inlets from 32 to 34 (EXPERIMENTS.md, "Refactorize on eta
+// fill"). The fill trigger is not measured on branch and bound.
 func (p *Problem) coldFull(recycle *Solution, fillRefactor bool) *Solution {
 	var t *tableau
 	var p1, st Status
@@ -141,7 +141,7 @@ func (p *Problem) coldFull(recycle *Solution, fillRefactor bool) *Solution {
 	t.saveCache()
 	p.foldTableau(t)
 	sol := resetSolution(recycle, len(p.cost))
-	sol.Status, sol.Iters, sol.p1rows = st, t.iters, t.m
+	sol.Status, sol.Iters, sol.p1rows = st, t.iters, t.p1rows
 	if p1 != Optimal {
 		return sol
 	}
@@ -253,7 +253,7 @@ func (t *tableau) installBasis(b *Basis) bool {
 }
 
 // newWarmTableau builds the full tableau (as newTableau does) but
-// installs the snapshot basis instead of the artificial one. Artificials
+// installs the snapshot basis instead of the crash one. Artificials
 // are fixed at zero with +1 coefficients — they exist only so snapshot
 // column indices stay aligned and a degenerate parent basis that still
 // holds an artificial remains representable. Returns nil when the basis

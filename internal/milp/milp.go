@@ -293,7 +293,7 @@ type Options struct {
 	// their LP (ablation).
 	NoPresolve bool
 	// NoWarmStart disables LP basis reuse between parent and child nodes,
-	// solving every relaxation cold from an artificial basis (ablation;
+	// solving every relaxation cold from a slack crash basis (ablation;
 	// also the reference behaviour the solver-equivalence suite compares
 	// against).
 	NoWarmStart bool

@@ -48,9 +48,10 @@ type SearchStats struct {
 	// SimplexPivots = WarmPivots + ColdPivots.
 	WarmPivots int64
 	ColdPivots int64
-	// Phase1Rows accumulates the constraint-row count over every
-	// artificial phase-1 run — the work warm starts exist to skip. Warm
-	// solves contribute zero.
+	// Phase1Rows accumulates, over every cold solve, the rows that
+	// started phase 1 on an artificial because the start point violated
+	// them — the repair work warm starts exist to skip. Rows that hold at
+	// the start begin on their slack and count zero, as do warm solves.
 	Phase1Rows int64
 	// EtaUpdates counts the product-form updates applied to the LU
 	// factors — one per basis-changing simplex pivot. EtaUpdates ≤

@@ -117,7 +117,10 @@ func Build(channelX []float64, bottom bool, boundaryY float64) (*Mux, error) {
 	m.ChannelY1 = mainY
 
 	// Valves: line (bit b, level v) crosses every channel; a valve sits
-	// where the channel's address bit b equals v.
+	// where the channel's address bit b equals v, so each bit's two lines
+	// carry exactly one valve per channel. The slice is sized exactly: a
+	// design keeps its MUX for as long as it is cached or served.
+	m.Valves = make([]Valve, 0, m.Bits*n)
 	for li, ln := range m.Lines {
 		if ln.Bit < 0 {
 			continue

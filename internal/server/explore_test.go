@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"columbas/internal/core"
@@ -118,6 +119,47 @@ func TestSimilarityDonorWarmStart(t *testing.T) {
 	if st.Solver.IncumbentFromHint > st.Solver.DeltaWarmStarts {
 		t.Fatalf("incumbent_from_hint %d > delta_warm_starts %d",
 			st.Solver.IncumbentFromHint, st.Solver.DeltaWarmStarts)
+	}
+}
+
+// TestFinishedJobDropsDonorHint pins that a similarity-hit job lets go
+// of its donor hint once it is terminal: the hint is a private copy of
+// the donor's geometry, and the job resource outlives the solve by its
+// whole TTL. The warm start it fed is still counted. The edit moves the
+// outlet to a fresh port, which the donor's layout warm-starts.
+func TestFinishedJobDropsDonorHint(t *testing.T) {
+	s, ts := newTestServer(t, Config{Jobs: 1, CacheEntries: 16})
+	reconnected := strings.Replace(tinySrc, "out:w", "out:r1", 1)
+	for i, src := range []string{tinySrc, reconnected} {
+		resp, doc := postJob(t, ts.URL, map[string]any{
+			"schema":  JobRequestSchema,
+			"netlist": src,
+			"options": map[string]any{},
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		}
+		if final := waitTerminal(t, ts.URL, doc.ID); final.State != JobSucceeded || final.Cache != "miss" {
+			t.Fatalf("submit %d: final state %s, cache %q", i, final.State, final.Cache)
+		}
+		j, ok := s.jobs.get(doc.ID)
+		if !ok {
+			t.Fatalf("submit %d: job %s not stored", i, doc.ID)
+		}
+		j.mu.Lock()
+		hint := j.opt.Warm
+		j.mu.Unlock()
+		if hint != nil {
+			t.Fatalf("submit %d: terminal job still holds its donor hint", i)
+		}
+	}
+	st := getStats(t, ts.URL)
+	if st.Cache.SimilarityHits != 1 {
+		t.Fatalf("similarity_hits = %d, want 1", st.Cache.SimilarityHits)
+	}
+	if st.Solver.DeltaWarmStarts == 0 {
+		t.Fatalf("delta_warm_starts = 0 (fallbacks %d): the hint fed no warm start",
+			st.Solver.DeltaFallbacks)
 	}
 }
 

@@ -148,7 +148,9 @@ func (h *eventHub) subscribe() (replay []JobEvent, ch chan JobEvent, cancel func
 }
 
 // close seals the stream: subscriber channels are closed and further
-// publishes are dropped.
+// publishes are dropped. The backlog is final from here on and stays
+// for replay until the job expires, so it is copied down to its length:
+// append growth leaves it a third empty on average.
 func (h *eventHub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -156,6 +158,7 @@ func (h *eventHub) close() {
 		return
 	}
 	h.closed = true
+	h.events = append([]JobEvent(nil), h.events...)
 	for id, ch := range h.subs {
 		delete(h.subs, id)
 		close(ch)
@@ -232,7 +235,10 @@ func (j *job) setRunning() {
 
 // finalize seals the job in a terminal state, publishes the terminal
 // event, ends the stream and wakes synchronous waiters. ttl <= 0 keeps
-// the job retrievable forever.
+// the job retrievable forever. The donor hint is dropped here: solve
+// has already copied the options it ran with, and a hint built by
+// Result.WarmHint is the job's private copy, which would otherwise live
+// until the TTL expires.
 func (j *job) finalize(st JobState, res *core.Result, errStatus int, errDoc *ErrorDoc, ttl time.Duration) {
 	now := time.Now()
 	j.mu.Lock()
@@ -241,6 +247,7 @@ func (j *job) finalize(st JobState, res *core.Result, errStatus int, errDoc *Err
 	j.errStatus = errStatus
 	j.errDoc = errDoc
 	j.finished = now
+	j.opt.Warm = nil
 	if ttl > 0 {
 		j.expires = now.Add(ttl)
 	}
