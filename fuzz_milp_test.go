@@ -95,7 +95,7 @@ func FuzzMILPParallel(f *testing.F) {
 			t.Fatalf("seed %d: sequential %v vs parallel %v", seed, seq.Status, par.Status)
 		}
 		// Warm-start conservation: every LP solve is either a basis
-		// re-entry or a cold two-phase solve, whatever the scheduling.
+		// re-entry or a cold solve, whatever the scheduling.
 		for _, r := range []*milp.Result{seq, par} {
 			st := r.Stats
 			if st.LPSolves != st.WarmStarts+st.ColdSolves {

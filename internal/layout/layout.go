@@ -220,8 +220,8 @@ type Options struct {
 	// of lazy separation).
 	EagerSeparation bool `json:"eager_separation,omitempty"`
 	// NoWarmStart disables LP basis reuse between branch-and-bound nodes
-	// (milp.Options.NoWarmStart), solving every relaxation cold from a
-	// slack crash basis (ablation: measures the value of warm starts; the
+	// (milp.Options.NoWarmStart), solving every relaxation cold from the
+	// all-slack basis (ablation: measures the value of warm starts; the
 	// seed solver's behaviour, used by make bench-warmstart as the
 	// "before" side).
 	NoWarmStart bool `json:"no_warmstart,omitempty"`

@@ -118,8 +118,8 @@ func (p *Problem) gomoryFromRow(t *tableau, i int, f0 float64, isInt, intSlack [
 		}
 	}()
 	for j := 0; j < t.n; j++ {
-		if t.state[j] == basic || j >= t.nArt {
-			continue // artificials are frozen at zero after phase 1
+		if t.state[j] == basic {
+			continue
 		}
 		if t.hi[j]-t.lo[j] < tol && !math.IsInf(t.hi[j], 1) {
 			continue // fixed column: t_j ≡ 0

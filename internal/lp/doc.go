@@ -1,5 +1,5 @@
 // Package lp implements a linear-programming solver: a revised,
-// bounded-variable, two-phase primal simplex method on a sparse LU
+// bounded-variable simplex method — dual, then primal — on a sparse LU
 // basis factorization.
 //
 // Columba S solves its physical-synthesis models with a commercial MILP
@@ -12,16 +12,17 @@
 //
 // The implementation is a textbook revised simplex with bound-flip ratio
 // tests, Dantzig pricing with a Bland's-rule fallback for anti-cycling,
-// and a slack crash start: a cold solve puts each row whose own slack
-// absorbs the start residual on that slack, and gives only the violated
-// rows a phase-1 artificial. The basis is held as sparse LU
-// factors with product-form (eta) updates, refactorized every 512
-// updates — and, on the one-shot Solve path, as soon as the eta file
-// holds more nonzeros than the factors — and cached across warm-started
-// solves. It is intended for the model sizes
-// Columba S produces
-// (tens of rectangles, hundreds to a few thousand rows), not for
-// general-purpose large-scale LP.
+// and a dual start: a cold solve puts every row on its own slack and
+// every costed column on the bound its cost sign asks for, a basis that
+// is dual feasible, so the dual simplex repairs the violated rows and
+// the primal then confirms or improves the optimum — there is no phase 1
+// and no artificial column. The dual keeps its reduced costs across
+// pivots instead of re-pricing. The basis is held as sparse LU factors
+// with product-form (eta) updates, refactorized as soon as the eta file
+// holds more nonzeros than the factors and at the latest every 512
+// updates, and cached across warm-started solves. It is intended for
+// the model sizes Columba S produces (tens of rectangles, hundreds to a
+// few thousand rows), not for general-purpose large-scale LP.
 //
 // Key types: Problem accumulates variables and rows and Solve returns a
 // Solution with Status; Clone supports the concurrent branch-and-bound

@@ -136,3 +136,29 @@ func TestSolveFromSteadyStateAllocs(t *testing.T) {
 		t.Fatal("steady state never hit the workspace factorization cache")
 	}
 }
+
+// TestColdSolveAllocs pins the allocation budget of a cold solve: once
+// the workspace is warmed up, a cold SolveFromReuse(nil, recycle) — the
+// dual repair's reduced-cost and pivot-row buffers included — allocates
+// only the Basis snapshot it returns (the header and its two slices).
+// make bench-kernel runs it next to TestSolveFromSteadyStateAllocs.
+func TestColdSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the property is gated in non-race runs")
+	}
+	p, _ := kernelBenchProblem(t)
+	var spare *Solution
+	solve := func() {
+		sol, err := p.SolveFromReuse(nil, spare)
+		if err != nil || sol.Status != Optimal || sol.Iters == 0 {
+			t.Fatalf("status %v err %v after %d pivots", sol.Status, err, sol.Iters)
+		}
+		spare = sol
+	}
+	for i := 0; i < 3; i++ { // warm up the workspace and the recycled Solution
+		solve()
+	}
+	if allocs := testing.AllocsPerRun(100, solve); allocs != 3 {
+		t.Fatalf("cold solve: %v allocs/op, want 3 (the Basis snapshot)", allocs)
+	}
+}

@@ -249,10 +249,10 @@ type Solution struct {
 	Status Status
 	X      []float64 // values of the problem variables (length NumVars)
 	Obj    float64   // objective value at X (minimisation)
-	Iters  int       // simplex iterations across both phases
+	Iters  int       // simplex iterations, dual repair and primal
 
 	basis  *Basis // optimal basis snapshot (nil when unavailable)
-	p1rows int    // rows that started phase 1 on an artificial
+	p1rows int    // rows the cold start found violated (see newTableau)
 }
 
 // Basis returns a snapshot of the optimal simplex basis, or nil when the
@@ -306,7 +306,7 @@ const (
 )
 
 // tableau is the working state of one simplex run over the equality form
-// A·x = b with bounded variables (structurals, slacks, artificials).
+// A·x = b with bounded variables (structurals, then one slack per row).
 // Every slice is a view into the problem's Workspace; the struct itself
 // is the workspace's reused tab field, so a steady-state solve allocates
 // nothing here.
@@ -314,7 +314,6 @@ type tableau struct {
 	ws    *Workspace
 	m, n  int       // rows, total columns
 	nStru int       // structural variable count
-	nArt  int       // first artificial column index (= nStru + m slacks)
 	cols  [][]Term  // column-sparse A (Term.Var is the row index here)
 	b     []float64 // right-hand sides
 	lo    []float64
@@ -333,13 +332,9 @@ type tableau struct {
 	// cold path's verification retry uses it to walk a different, maximally
 	// cautious pivot sequence after a default run went numerically wrong.
 	forceBland bool
-	// fillRefactor adds the eta-fill trigger to applyEta: refactorize as
-	// soon as the eta file holds more nonzeros than the LU factors. Only
-	// the one-shot Solve sets it (see coldFull for why branch and bound
-	// keeps the count trigger alone).
-	fillRefactor bool
-	// p1rows counts the rows the cold start left on a basic artificial:
-	// the rows phase 1 has to repair (zero on a warm tableau).
+	// p1rows counts the rows whose slack the cold start found outside its
+	// bounds: the rows the dual repair has to fix (zero on a warm
+	// tableau).
 	p1rows int
 
 	// Per-run kernel tallies, folded into the Problem counters only when
@@ -352,16 +347,13 @@ type tableau struct {
 	basisNnz   int64  // peak nnz(B) observed at factorization time
 	reusedInv  bool   // install skipped factorization via the workspace cache
 	basisDirty bool   // basis or nonbasic states changed since install
-	invBad     bool   // B⁻¹ is untrusted (mid-run refactorization failed)
-	stabHits   int    // stability-guard triggers: the run saw numerical distress
+	invBad     bool   // B⁻¹ is untrusted (a refactorization failed or a dual pivot died)
 	installed  *Basis // snapshot installed by a warm start (nil when cold)
 }
 
 // Solve optimises the problem with the current bounds and costs: a
-// one-shot solve, presolved when the rows allow it, from a slack crash
-// basis (see newTableau). It refactorizes the basis as soon as the eta
-// file holds more nonzeros than the LU factors, as well as every
-// refactorEvery updates; SolveFrom keeps the count trigger alone.
+// one-shot solve, presolved when the rows allow it, from the all-slack
+// basis (see newTableau and coldFull).
 func (p *Problem) Solve() (*Solution, error) {
 	sol, err := p.solve()
 	if sol != nil {
@@ -379,17 +371,17 @@ func (p *Problem) Solve() (*Solution, error) {
 // path: each worker owns its clone, so the counter has a single writer.
 func (p *Problem) SolveCount() int64 { return p.solves }
 
-// PivotCount returns the cumulative simplex iterations (phase 1 + phase 2
-// pivots) across all Solve calls on this problem.
+// PivotCount returns the cumulative simplex iterations (dual repair and
+// primal pivots) across all Solve calls on this problem.
 func (p *Problem) PivotCount() int64 { return p.pivots }
 
 // WarmStartCount returns the number of SolveFrom calls that re-entered
 // the simplex from a supplied basis (the warm path ran to completion).
 func (p *Problem) WarmStartCount() int64 { return p.warmSolves }
 
-// ColdSolveCount returns the number of solves that went through the full
-// two-phase method from a slack crash basis: every plain Solve, every
-// SolveFrom without a usable basis, and every warm-start fallback.
+// ColdSolveCount returns the number of solves that started from the
+// all-slack basis: every plain Solve, every SolveFrom without a usable
+// basis, and every warm-start fallback.
 // SolveCount() == WarmStartCount() + ColdSolveCount() always holds.
 func (p *Problem) ColdSolveCount() int64 { return p.coldSolves }
 
@@ -403,15 +395,15 @@ func (p *Problem) WarmStartFallbackCount() int64 { return p.warmFallbacks }
 // WarmPivotCount() + ColdPivotCount() always holds.
 func (p *Problem) WarmPivotCount() int64 { return p.warmPivots }
 
-// ColdPivotCount returns the simplex iterations spent in cold two-phase
-// solves, phase 1 included.
+// ColdPivotCount returns the simplex iterations spent in cold solves,
+// dual repair and primal pivots alike.
 func (p *Problem) ColdPivotCount() int64 { return p.pivots - p.warmPivots }
 
-// Phase1RowCount returns the cumulative count of rows that started
-// phase 1 on an artificial — the rows the cold start found violated,
-// and the repair work warm starts exist to avoid. A warm start
-// contributes zero; a cold solve contributes its violated rows, zero
-// when its start point satisfies every row.
+// Phase1RowCount returns the cumulative count of rows the cold start
+// found violated — the rows its dual simplex has to repair, and the
+// repair work warm starts exist to avoid. A warm start contributes zero;
+// a cold solve contributes its violated rows, zero when its start point
+// satisfies every row.
 func (p *Problem) Phase1RowCount() int64 { return p.phase1Rows }
 
 // EtaUpdateCount returns the cumulative product-form (eta) updates
@@ -424,10 +416,9 @@ func (p *Problem) EtaUpdateCount() int64 { return p.etaUpdates }
 // RefactorizationCount returns the number of from-scratch LU
 // factorizations of the basis matrix: warm-start installs that missed
 // the workspace's factorization cache, plus the mid-solve
-// refactorizations that flush the eta file — every refactorEvery
-// updates (see SetRefactorInterval) and, in Solve, whenever the eta
-// file outgrows the factors.
-// The diagonal slack-and-artificial start basis of a cold solve is
+// refactorizations that flush the eta file whenever it outgrows the
+// factors, and at the latest every refactorEvery updates (see
+// SetRefactorInterval). The identity start basis of a cold solve is
 // installed in place and is not counted.
 func (p *Problem) RefactorizationCount() int64 { return p.refactors }
 
@@ -484,9 +475,8 @@ func (p *Problem) foldTableau(t *tableau) {
 func (p *Problem) FillInCount() int64 { return p.fillIn }
 
 // BasisNonzeroPeak returns the largest basis-matrix nonzero count
-// observed at factorization time (a high-water mark, not a sum). Solves
-// that never refactorize — the cold start's diagonal crash basis is
-// written in place — contribute nothing.
+// observed at factorization time (a high-water mark, not a sum), and in
+// the final basis of every returned run.
 func (p *Problem) BasisNonzeroPeak() int64 { return p.basisNnzPeak }
 
 func (p *Problem) solve() (*Solution, error) {
@@ -533,22 +523,20 @@ func (p *Problem) solve() (*Solution, error) {
 		// is only an optimization, so fall through and solve the original
 		// problem with the full tableau instead of surfacing a bogus limit.
 	}
-	// The one-shot path refactorizes on eta fill as well as on the count.
-	return p.coldFull(nil, true), nil
+	return p.coldFull(nil), nil
 }
 
 // prepTableau readies the workspace and fills the tableau fields shared
 // by the cold and warm constructors: dimensions, column views, bounds
-// and costs of structurals and slacks, right-hand sides, and zeroed
-// costs for slack and artificial columns. Artificial bounds and
-// coefficients are left to the caller (the two paths differ there).
+// and costs of structurals and slacks (slacks cost nothing), and
+// right-hand sides.
 func (p *Problem) prepTableau() *tableau {
 	ws := p.Workspace()
 	ws.prepare(p)
 	t := &ws.tab
 	m, nStru, n := ws.m, ws.nStru, ws.n
 	*t = tableau{
-		ws: ws, m: m, n: n, nStru: nStru, nArt: nStru + m,
+		ws: ws, m: m, n: n, nStru: nStru,
 		cols:  ws.cols,
 		b:     ws.b,
 		lo:    ws.lo,
@@ -580,48 +568,51 @@ func (p *Problem) prepTableau() *tableau {
 		case EQ:
 			t.lo[s], t.hi[s] = 0, 0
 		}
-		t.cost[t.nArt+i] = 0
 	}
 	return t
 }
 
-// newTableau builds the cold-start tableau on a slack crash basis:
-// nonbasic structurals on their nearest bounds, and in each row either
-// the row's own slack or a signed artificial. A row whose slack can take
-// the start residual within its bounds (LE: ≥ 0, GE: ≤ 0, EQ: exactly 0)
-// already holds, so its slack is basic and its artificial nonbasic,
-// fixed at 0 with coefficient +1 — the warm-path convention, so
-// saveCache still accepts the final basis. Only a violated row gets a
-// basic artificial absorbing its residual, and only those rows enter
-// phase 1 (p1rows). Slacks and artificials are unit columns, so
-// B = diag(±1) is factorized in place as a trivial LU.
+// newTableau builds the cold-start tableau on the all-slack basis: every
+// row starts on its own slack, so B = I is written in place as a trivial
+// LU, and each nonbasic structural rests on the bound its cost sign asks
+// for — lower for a positive cost, upper for a negative one. That basis
+// is dual feasible for the repair costs the cold dual simplex prices
+// with (ws.repair): the column's own cost, or 0 for a column whose cost
+// is 0 or whose wanted bound is infinite, which rests on its lower bound
+// when finite, else its upper bound, else (free) at 0. A row whose slack
+// takes the start residual within its bounds (LE: ≥ 0, GE: ≤ 0, EQ:
+// exactly 0) already holds; the others are the rows the dual repairs
+// (p1rows).
 func (p *Problem) newTableau() *tableau {
 	t := p.prepTableau()
-	m := t.m
-	// Nonbasic start values for structurals and slacks: nearest finite
-	// bound, or zero for free variables.
-	for v := 0; v < t.nArt; v++ {
+	repair := t.ws.repair
+	for v := 0; v < t.nStru; v++ {
+		c, lo, hi := t.cost[v], t.lo[v], t.hi[v]
+		repair[v] = c
 		switch {
-		case !math.IsInf(t.lo[v], -1):
-			t.state[v], t.x[v] = atLo, t.lo[v]
-		case !math.IsInf(t.hi[v], 1):
-			t.state[v], t.x[v] = atUp, t.hi[v]
+		case c > 0 && !math.IsInf(lo, -1):
+			t.state[v], t.x[v] = atLo, lo
+		case c < 0 && !math.IsInf(hi, 1):
+			t.state[v], t.x[v] = atUp, hi
+		case !math.IsInf(lo, -1):
+			t.state[v], t.x[v], repair[v] = atLo, lo, 0
+		case !math.IsInf(hi, 1):
+			t.state[v], t.x[v], repair[v] = atUp, hi, 0
 		default:
-			t.state[v], t.x[v] = atLo, 0 // free variable pinned at 0
+			t.state[v], t.x[v], repair[v] = atLo, 0, 0 // free variable pinned at 0
 		}
 	}
-	// Crash basis absorbing the residuals. This overwrites the factors,
-	// so any cached factorization is gone until saveCache re-validates
-	// one. The signed diagonal below is an exact factorization of the
-	// start basis, so the drift counter restarts from zero — without
+	// The start basis overwrites the factors, so any cached factorization
+	// is gone until saveCache re-validates one. The identity is an exact
+	// factorization, so the drift counter restarts from zero — without
 	// this, repeated cold solves accumulate toward refactorEvery and pay
 	// needless mid-solve refactorizations.
 	t.ws.basisValid = false
 	t.ws.updatesSinceRefactor = 0
-	t.f.setIdentity(m)
+	t.f.setIdentity(t.m)
 	resid := t.ws.resid
 	copy(resid, t.b)
-	for v := 0; v < t.nArt; v++ {
+	for v := 0; v < t.nStru; v++ {
 		if t.x[v] == 0 {
 			continue
 		}
@@ -629,62 +620,15 @@ func (p *Problem) newTableau() *tableau {
 			resid[tm.Var] -= tm.Coef * t.x[v]
 		}
 	}
-	for i := 0; i < m; i++ {
-		s, a, r := t.nStru+i, t.nArt+i, resid[i]
-		if r >= t.lo[s] && r <= t.hi[s] {
-			// The row holds: its slack takes the residual (slack columns
-			// are +1 units, so uDiag stays 1).
-			t.cols[a][0] = Term{Var: i, Coef: 1}
-			t.lo[a], t.hi[a] = 0, 0
-			t.state[a], t.x[a] = atLo, 0
-			t.basis[i] = s
-			t.state[s], t.x[s] = basic, r
-			continue
+	for i := 0; i < t.m; i++ {
+		s, r := t.nStru+i, resid[i]
+		t.basis[i] = s
+		t.state[s], t.x[s], repair[s] = basic, r, 0
+		if r < t.lo[s]-tol || r > t.hi[s]+tol {
+			t.p1rows++
 		}
-		sign := 1.0
-		if r < 0 {
-			sign = -1
-		}
-		t.cols[a][0] = Term{Var: i, Coef: sign}
-		t.lo[a], t.hi[a] = 0, Inf
-		t.basis[i] = a
-		t.state[a] = basic
-		t.x[a] = math.Abs(r)
-		t.f.uDiag[i] = sign // B = diag(±1): a trivial U, no L
-		t.p1rows++
 	}
 	return t
-}
-
-// phase1 minimises the sum of artificials; Optimal means a feasible basis
-// was found (artificials driven to zero and fixed).
-func (t *tableau) phase1() Status {
-	c1 := t.ws.c1
-	for v := 0; v < t.nArt; v++ {
-		c1[v] = 0
-	}
-	for a := t.nArt; a < t.n; a++ {
-		c1[a] = 1
-	}
-	st := t.simplex(c1)
-	if st == IterLimit {
-		return IterLimit
-	}
-	sum := 0.0
-	for a := t.nArt; a < t.n; a++ {
-		sum += t.x[a]
-	}
-	if sum > 1e-6 {
-		return Infeasible
-	}
-	// Freeze artificials at zero so phase 2 cannot reuse them.
-	for a := t.nArt; a < t.n; a++ {
-		t.lo[a], t.hi[a] = 0, 0
-		if t.state[a] != basic {
-			t.x[a] = 0
-		}
-	}
-	return Optimal
 }
 
 func (t *tableau) phase2() Status {
@@ -693,19 +637,19 @@ func (t *tableau) phase2() Status {
 
 // applyEta counts one product-form update of the basis representation
 // (the eta column the callers just appended) and refactorizes from
-// scratch every refactorEvery updates — accumulated across solves
-// through the workspace cache — or, on a fillRefactor tableau, as soon
-// as the eta file outgrows the factors: past that point every FTRAN and
-// BTRAN spends more time in the eta file than in L and U. Returns false
-// when that refactorization finds the basis numerically singular;
-// callers abort with IterLimit and the warm path falls back.
+// scratch as soon as the eta file outgrows the factors — past that point
+// every FTRAN and BTRAN spends more time in the eta file than in L and
+// U — and at the latest every refactorEvery updates, accumulated across
+// solves through the workspace cache. Returns false when that
+// refactorization finds the basis numerically singular; callers abort
+// with IterLimit and the warm path falls back.
 func (t *tableau) applyEta() bool {
 	t.etaUpd++
 	t.basisDirty = true
 	t.ws.basisValid = false // the factors no longer match any cached basis
 	t.ws.updatesSinceRefactor++
 	if t.ws.updatesSinceRefactor >= refactorEvery ||
-		t.fillRefactor && t.f.etaNonzeros() > t.f.factorNonzeros() {
+		t.f.etaNonzeros() > t.f.factorNonzeros() {
 		if !t.factorize() {
 			t.invBad = true
 			return false
@@ -717,22 +661,12 @@ func (t *tableau) applyEta() bool {
 
 // saveCache records that the workspace's factors represent the
 // tableau's final basis, so the next warm install of exactly this basis
-// can skip factorization. A basis holding a sign-flipped artificial
-// column is not cacheable: warm tableaus rebuild artificials with +1
-// coefficients, which would silently change the matrix behind the
-// cached factors.
+// can skip factorization.
 func (t *tableau) saveCache() {
 	ws := t.ws
 	if t.invBad {
 		ws.basisValid = false
 		return
-	}
-	for i := 0; i < t.m; i++ {
-		v := t.basis[i]
-		if v >= t.nArt && t.cols[v][0].Coef != 1 {
-			ws.basisValid = false
-			return
-		}
 	}
 	ws.basisValid = true
 	ws.cachedBasis = append(ws.cachedBasis[:0], t.basis...)
@@ -834,7 +768,6 @@ func (t *tableau) simplex(c []float64) Status {
 				}
 			}
 			if math.Abs(w[leave]) < stabPivTol*wmax {
-				t.stabHits++
 				if !t.factorize() {
 					t.invBad = true
 					return IterLimit
@@ -953,6 +886,25 @@ func (t *tableau) computeMultipliers(c []float64) {
 		cb[i] = c[t.basis[i]]
 	}
 	t.f.btran(cb, t.ws.y)
+}
+
+// reducedCosts computes d_j = c_j − y·A_j from scratch into the
+// workspace's d vector for every nonbasic column that can move — the
+// prices the dual simplex keeps up to date between its refreshes.
+// Basic and fixed columns are skipped and their entries left stale.
+func (t *tableau) reducedCosts(c []float64) {
+	t.computeMultipliers(c)
+	y, d := t.ws.y, t.ws.d
+	for v := 0; v < t.n; v++ {
+		if t.state[v] == basic || t.hi[v]-t.lo[v] < tol && !math.IsInf(t.hi[v], 1) {
+			continue
+		}
+		dv := c[v]
+		for _, tm := range t.cols[v] {
+			dv -= y[tm.Var] * tm.Coef
+		}
+		d[v] = dv
+	}
 }
 
 // ftranColumn computes the direction w = B⁻¹·A_enter into the

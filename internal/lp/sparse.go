@@ -17,12 +17,11 @@ import "math"
 // Between refactorizations, pivots append product-form eta columns to an
 // eta file instead of touching the factors, so B⁻¹ is represented as
 // E_k⁻¹…E_1⁻¹·(LU)⁻¹ and both FTRAN (w = B⁻¹a) and BTRAN (y = B⁻ᵀc)
-// stay O(nnz). A refactorization flushes the eta file: the counted one
-// (refactorEvery) on every path, and on the one-shot Solve path also
-// the one triggered once the eta file holds more nonzeros than the
-// factors (etaNonzeros vs factorNonzeros). The cross-solve
-// factorization cache keeps the factors-plus-eta-file pair from one
-// solve to the next.
+// stay O(nnz). A refactorization flushes the eta file once it holds more
+// nonzeros than the factors (etaNonzeros vs factorNonzeros), and at the
+// latest after refactorEvery updates. The cross-solve factorization
+// cache keeps the factors-plus-eta-file pair from one solve to the
+// next.
 //
 // Fill-in is not capped: a basis that wants a near-dense factorization
 // completes on the grow-only arenas, whose worst case, O(m²), is the
@@ -131,10 +130,8 @@ func (f *sparseLU) resetEtas() {
 	f.etaVal = f.etaVal[:0]
 }
 
-// setIdentity installs the trivial factorization of a diagonal basis
-// (the cold start's slack crash basis): L empty, U diagonal 1 — the
-// caller overwrites the uDiag entries of rows that start on a
-// sign-flipped artificial with −1.
+// setIdentity installs the trivial factorization of the identity basis
+// (the cold start's all-slack basis): L empty, U diagonal 1.
 func (f *sparseLU) setIdentity(m int) {
 	f.ensure(m)
 	f.resetEtas()

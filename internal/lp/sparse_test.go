@@ -483,11 +483,12 @@ func fillLP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestSolveRefactorizesOnEtaFill pins the one-shot trigger: a cold Solve
-// refactorizes as soon as the eta file holds more nonzeros than the
-// factors, so after a solve that crossed the trigger several times the
-// eta file is no larger than the factors, and the outcome matches a
-// reference run that refactorizes after every pivot.
+// TestSolveRefactorizesOnEtaFill pins the eta-fill trigger on the
+// one-shot path: a cold Solve refactorizes as soon as the eta file holds
+// more nonzeros than the factors, so after a solve that crossed the
+// trigger several times the eta file is no larger than the factors, and
+// the outcome matches a reference run that refactorizes after every
+// pivot.
 func TestSolveRefactorizesOnEtaFill(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		p := fillLP(rand.New(rand.NewSource(seed)))
@@ -517,11 +518,12 @@ func TestSolveRefactorizesOnEtaFill(t *testing.T) {
 	}
 }
 
-// TestSolveFromKeepsCountTrigger pins that branch and bound keeps the
-// count trigger alone: with the interval out of reach, neither the cold
-// SolveFrom root nor a warm repair refactorizes when the eta file
-// outgrows the factors.
-func TestSolveFromKeepsCountTrigger(t *testing.T) {
+// TestSolveFromRefactorizesOnEtaFill pins that branch and bound runs the
+// same refactorization rule as the one-shot Solve: with the interval out
+// of reach, neither the cold SolveFrom root nor a warm repair ever
+// leaves the eta file holding more nonzeros than the factors, and the
+// trigger does fire on both.
+func TestSolveFromRefactorizesOnEtaFill(t *testing.T) {
 	prev := SetRefactorInterval(1 << 30)
 	defer SetRefactorInterval(prev)
 	rng := rand.New(rand.NewSource(1))
@@ -531,26 +533,27 @@ func TestSolveFromKeepsCountTrigger(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("root: status %v err %v", sol.Status, err)
 	}
-	if !longer() {
-		t.Fatal("the cold root refactorized on eta fill")
+	if longer() || p.RefactorizationCount() == 0 {
+		t.Fatalf("cold root: %d refactorizations, eta file %d nonzeros against %d in the factors",
+			p.RefactorizationCount(), p.ws.lu.etaNonzeros(), p.ws.lu.factorNonzeros())
 	}
 	basis := sol.Basis()
-	grown := 0 // warm repairs that pivoted and left the eta file longer
+	root := p.RefactorizationCount()
 	for step := 0; step < 20; step++ {
 		tightenOne(p, rng)
-		warm := p.WarmStartCount()
 		sol, err = p.SolveFrom(basis)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		if p.WarmStartCount() > warm && sol.Iters > 0 && longer() {
-			grown++
+		if longer() {
+			t.Fatalf("step %d: eta file %d nonzeros against %d in the factors",
+				step, p.ws.lu.etaNonzeros(), p.ws.lu.factorNonzeros())
 		}
 		if nb := sol.Basis(); nb != nil {
 			basis = nb
 		}
 	}
-	if grown == 0 {
-		t.Fatal("no warm repair left the eta file longer than the factors")
+	if p.RefactorizationCount() == root {
+		t.Fatal("no warm repair refactorized")
 	}
 }

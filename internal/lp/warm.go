@@ -6,7 +6,7 @@ import (
 
 // Basis is a compact snapshot of a simplex basis: which variable is basic
 // in each row plus the bound each nonbasic column rests on, over the full
-// tableau column space (structurals, slacks, artificials). A Basis is
+// tableau column space (structurals, then one slack per row). A Basis is
 // immutable after creation — branch-and-bound shares one snapshot between
 // sibling nodes and across worker Problem clones without copying, and
 // SolveFromReuse never recycles one.
@@ -45,11 +45,11 @@ func (t *tableau) snapshot() *Basis {
 // The intended caller is branch and bound: a child node differs from its
 // parent by one variable-bound change, the parent's optimal basis stays
 // dual feasible under that change, and a short dual-simplex repair
-// reaches the child optimum without any artificial phase 1. When basis is
-// nil, incompatible, singular, or the repair goes off the rails, the
-// solve silently falls back to the cold two-phase path (see
-// WarmStartFallbackCount). Unlike Solve, SolveFrom never presolves — the
-// returned Solution always carries a Basis for the next generation.
+// reaches the child optimum. When basis is nil, incompatible, singular,
+// or the repair goes off the rails, the solve silently falls back to the
+// cold path from the all-slack basis (see WarmStartFallbackCount).
+// Unlike Solve, SolveFrom never presolves — the returned Solution always
+// carries a Basis for the next generation.
 func (p *Problem) SolveFrom(basis *Basis) (*Solution, error) {
 	return p.SolveFromReuse(basis, nil)
 }
@@ -101,39 +101,32 @@ func (p *Problem) solveFrom(basis *Basis, recycle *Solution) (sol *Solution, war
 			return s, true
 		}
 	}
-	return p.coldFull(recycle, false), false
+	return p.coldFull(recycle), false
 }
 
-// coldFull is the full-tableau two-phase solve from the slack crash
-// basis (see newTableau). It bypasses presolve, so an optimal result
+// coldFull is the full-tableau solve from the all-slack basis (see
+// newTableau): the dual simplex, pricing with the repair costs, fixes
+// the rows the start violates, and the primal simplex then optimises the
+// true costs — on a model whose every costed column has the bound its
+// cost sign asks for the two cost vectors are equal, and the primal only
+// confirms optimality. It bypasses presolve, so an optimal result
 // carries a reusable basis. A run that claims optimality on a bound- or
-// row-violating point, drives the basis numerically singular (invBad),
-// or claims infeasibility after tripping the pivot-stability guard was
-// corrupted by accumulated drift: it is re-run once from scratch under
-// Bland's rule, whose cautious pricing walks a different (and far more
-// stable) pivot path, and the abandoned run's tallies are dropped, like
-// a failed warm attempt.
-//
-// fillRefactor sets the eta-fill refactorization trigger (see applyEta)
-// on both runs. The one-shot Solve sets it. Branch and bound — the
-// SolveFrom fallback and the basis-less integer root — keeps the count
-// trigger alone: refactorizing changes the last bits of every solve and
-// so the vertex a cold MILP root lands on, which has moved chip128-2's
-// control inlets from 32 to 34 (EXPERIMENTS.md, "Refactorize on eta
-// fill"). The fill trigger is not measured on branch and bound.
-func (p *Problem) coldFull(recycle *Solution, fillRefactor bool) *Solution {
+// row-violating point, or that drives the basis numerically singular or
+// hits a dead dual pivot (invBad), was corrupted by accumulated drift:
+// it is re-run once from scratch under Bland's rule, whose cautious
+// pricing walks a different (and far more stable) pivot path, and the
+// abandoned run's tallies are dropped, like a failed warm attempt.
+func (p *Problem) coldFull(recycle *Solution) *Solution {
 	var t *tableau
-	var p1, st Status
+	var st Status
 	for bland := false; ; bland = true {
 		t = p.newTableau()
-		t.forceBland, t.fillRefactor = bland, fillRefactor
-		if p1 = t.phase1(); p1 == Optimal {
+		t.forceBland = bland
+		if st = t.dualSimplex(t.ws.repair); st == Optimal {
 			st = t.phase2()
-		} else {
-			st = p1
 		}
 		corrupt := st == Optimal && !p.warmResultOK(t.x[:t.nStru]) ||
-			st == IterLimit && t.invBad || st == Infeasible && t.stabHits > 0
+			st == IterLimit && t.invBad
 		if bland || !corrupt {
 			break
 		}
@@ -142,17 +135,15 @@ func (p *Problem) coldFull(recycle *Solution, fillRefactor bool) *Solution {
 	p.foldTableau(t)
 	sol := resetSolution(recycle, len(p.cost))
 	sol.Status, sol.Iters, sol.p1rows = st, t.iters, t.p1rows
-	if p1 != Optimal {
+	if st != Optimal {
 		return sol
 	}
 	copy(sol.X, t.x[:t.nStru])
 	for v, xv := range sol.X {
 		sol.Obj += p.cost[v] * xv
 	}
-	if st == Optimal {
-		sol.basis = t.snapshot()
-		t.ws.tabOptimal = true
-	}
+	sol.basis = t.snapshot()
+	t.ws.tabOptimal = true
 	return sol
 }
 
@@ -167,8 +158,8 @@ func (p *Problem) warmSolve(basis *Basis, recycle *Solution) *Solution {
 		return nil
 	}
 	// Dual simplex drives the primal infeasibilities introduced by the
-	// bound change out of the basis; the parent basis is dual feasible so
-	// no phase 1 is needed. A nil-candidate outcome is a genuine
+	// bound change out of the basis; the parent basis is dual feasible,
+	// so it repairs from there. A nil-candidate outcome is a genuine
 	// infeasibility proof, not a failure.
 	switch st := t.dualSimplex(t.cost); st {
 	case Infeasible:
@@ -253,24 +244,10 @@ func (t *tableau) installBasis(b *Basis) bool {
 }
 
 // newWarmTableau builds the full tableau (as newTableau does) but
-// installs the snapshot basis instead of the crash one. Artificials
-// are fixed at zero with +1 coefficients — they exist only so snapshot
-// column indices stay aligned and a degenerate parent basis that still
-// holds an artificial remains representable. Returns nil when the basis
-// matrix is singular.
+// installs the snapshot basis instead of the all-slack one. Returns nil
+// when the basis matrix is singular.
 func (p *Problem) newWarmTableau(b *Basis) *tableau {
 	t := p.prepTableau()
-	m := t.m
-	// A prior cold solve may have sign-flipped artificial coefficients in
-	// the shared column arena; the warm convention is +1, fixed at zero.
-	// Rewriting a nonbasic column never touches the factors, and
-	// saveCache refuses to cache a basis holding a flipped artificial, so
-	// a cache hit can only ever see +1 columns.
-	for i := 0; i < m; i++ {
-		a := t.nArt + i
-		t.cols[a][0] = Term{Var: i, Coef: 1}
-		t.lo[a], t.hi[a] = 0, 0
-	}
 	if !t.installBasis(b) {
 		return nil
 	}
@@ -330,16 +307,23 @@ func (t *tableau) factorize() bool {
 	return ok
 }
 
-// dualSimplex restores primal feasibility from a dual-feasible basis with
-// costs c. Each iteration kicks the most-violated basic variable out to
-// its nearest bound, choosing the entering column by the dual ratio test
-// so reduced-cost signs are preserved. Returns Optimal once every basic
-// value is inside its bounds, Infeasible when a violated row admits no
-// entering column (a valid infeasibility certificate), or IterLimit.
+// dualSimplex restores primal feasibility from a basis dual feasible
+// for costs c. Each iteration kicks the most-violated basic variable out
+// to its nearest bound, choosing the entering column by the dual ratio
+// test so reduced-cost signs are preserved. The reduced costs are kept,
+// not re-priced: one BTRAN before the first pivot, then after each pivot
+// the update d_j −= θ·α_rj over the pivot row the ratio test already
+// formed, and a recomputation from scratch whenever the basic values are
+// refreshed, which flushes the drift of both. Returns Optimal once every
+// basic value is inside its bounds, Infeasible when a violated row admits
+// no entering column (a valid infeasibility certificate), or IterLimit —
+// with invBad set when the pivot the row chose is numerically dead in
+// its column.
 func (t *tableau) dualSimplex(c []float64) Status {
 	m := t.m
-	y := t.ws.y
-	w := t.ws.w
+	w, d := t.ws.w, t.ws.d
+	rowIdx, rowVal := t.ws.rowIdx, t.ws.rowVal
+	priced := false // a basis that is already primal feasible needs no prices
 	degen := 0
 	for ; t.iters < t.maxIter; t.iters++ {
 		if t.iters%64 == 0 && t.aborted() {
@@ -361,11 +345,16 @@ func (t *tableau) dualSimplex(c []float64) Status {
 		if r < 0 {
 			return Optimal
 		}
-		// Simplex multipliers for the dual ratio test.
-		t.computeMultipliers(c)
+		if !priced {
+			t.reducedCosts(c)
+			priced = true
+		}
+		// Pivot row α_r = (B⁻¹)_r·A over the columns that can enter; its
+		// nonzeros are kept for the reduced-cost update.
 		rho := t.binvRow(r)
-		enter, bestRatio := -1, Inf
-		bland := degen >= stall
+		enter, bestRatio, alphaQ := -1, Inf, 0.0
+		bland := degen >= stall || t.forceBland
+		nz := 0
 		for v := 0; v < t.n; v++ {
 			if t.state[v] == basic {
 				continue
@@ -377,6 +366,11 @@ func (t *tableau) dualSimplex(c []float64) Status {
 			for _, tm := range t.cols[v] {
 				alpha += rho[tm.Var] * tm.Coef
 			}
+			if alpha == 0 {
+				continue
+			}
+			rowIdx[nz], rowVal[nz] = v, alpha
+			nz++
 			ab := e * alpha
 			free := math.IsInf(t.lo[v], -1) && math.IsInf(t.hi[v], 1)
 			var ok bool
@@ -391,16 +385,11 @@ func (t *tableau) dualSimplex(c []float64) Status {
 			if !ok {
 				continue
 			}
-			rc := c[v]
-			for _, tm := range t.cols[v] {
-				rc -= y[tm.Var] * tm.Coef
-			}
-			ratio := math.Abs(rc) / math.Abs(ab)
-			if enter < 0 || ratio < bestRatio-tol {
-				enter, bestRatio = v, ratio
-				if bland {
-					break // first admissible column: anti-cycling
-				}
+			// Under Bland's rule the first admissible column enters
+			// (anti-cycling); the pass still completes the pivot row.
+			ratio := math.Abs(d[v]) / math.Abs(ab)
+			if enter < 0 || !bland && ratio < bestRatio-tol {
+				enter, bestRatio, alphaQ = v, ratio, alpha
 			}
 		}
 		if enter < 0 {
@@ -416,9 +405,19 @@ func (t *tableau) dualSimplex(c []float64) Status {
 		// violated bound.
 		t.ftranColumn(enter)
 		if math.Abs(w[r]) < pivTol {
-			return IterLimit // numerically dead pivot — let the caller fall back
+			// The row and the column disagree on the pivot: the factors
+			// can no longer be trusted.
+			t.invBad = true
+			return IterLimit
 		}
 		out := t.basis[r]
+		// Reduced costs of the new basis: d_j −= θ·α_rj with θ = d_q/α_rq,
+		// which zeroes the entering column's and prices the leaving one.
+		theta := d[enter] / alphaQ
+		for k := 0; k < nz; k++ {
+			d[rowIdx[k]] -= theta * rowVal[k]
+		}
+		d[enter], d[out] = 0, -theta
 		step := (t.x[out] - target) / w[r]
 		t.x[enter] += step
 		for i := 0; i < m; i++ {
@@ -434,8 +433,13 @@ func (t *tableau) dualSimplex(c []float64) Status {
 		if !t.applyEta() {
 			return IterLimit
 		}
-		if t.iters%refresh == refresh-1 {
+		switch {
+		case t.ws.updatesSinceRefactor == 0:
+			// Fresh factors: applyEta refreshed the basic values.
+			t.reducedCosts(c)
+		case t.iters%refresh == refresh-1:
 			t.refreshBasics()
+			t.reducedCosts(c)
 		}
 	}
 	return IterLimit

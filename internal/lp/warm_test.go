@@ -129,7 +129,8 @@ func TestWarmAgreesWithCold(t *testing.T) {
 }
 
 // TestWarmStartSkipsPhase1 checks the point of the whole exercise: a warm
-// start re-enters the simplex without the artificial phase 1.
+// start re-enters the simplex from the parent's basis and has no start
+// rows to repair.
 func TestWarmStartSkipsPhase1(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(0, 10, 1)
@@ -140,8 +141,8 @@ func TestWarmStartSkipsPhase1(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("root: %v %v", sol, err)
 	}
-	// x + y ≥ 4 is violated at the origin and starts on an artificial;
-	// x − y ≤ 2 holds there and starts on its slack.
+	// Both costs are positive, so the cold start is the origin, where
+	// x + y ≥ 4 is violated and x − y ≤ 2 holds.
 	if p.Phase1RowCount() != 1 {
 		t.Fatalf("cold phase-1 rows = %d, want 1", p.Phase1RowCount())
 	}
@@ -154,7 +155,7 @@ func TestWarmStartSkipsPhase1(t *testing.T) {
 		t.Fatalf("warm start not used (fallbacks=%d)", p.WarmStartFallbackCount())
 	}
 	if p.Phase1RowCount() != 1 {
-		t.Fatalf("warm start ran phase 1: rows = %d", p.Phase1RowCount())
+		t.Fatalf("warm start counted phase-1 rows: rows = %d", p.Phase1RowCount())
 	}
 	// min x+2y st x+y>=4, x<=1 --> x=1, y=3, obj=7
 	wantObj(t, warm, 7)

@@ -13,18 +13,18 @@ package lp
 // representation is maintained across pivots by product-form (eta)
 // updates, and when the next SolveFrom installs exactly the basis the
 // workspace already holds factors for, refactorization is skipped
-// entirely (WorkspaceReuseCount). Numerical hygiene comes from a counted
-// periodic refactorization: after refactorEvery eta updates the factors
-// are rebuilt from scratch (RefactorizationCount), and every warm result
-// is still verified against the original rows before it is trusted.
+// entirely (WorkspaceReuseCount). Numerical hygiene comes from
+// refactorization: the factors are rebuilt from scratch
+// (RefactorizationCount) as soon as the eta file holds more nonzeros
+// than they do, and at the latest after refactorEvery eta updates; every
+// warm result is still verified against the original rows before it is
+// trusted.
 
 // defaultRefactorEvery is the number of product-form (eta) updates the
 // kernel lets accumulate on the basis representation — across solves,
 // thanks to the factorization cache — before forcing a from-scratch
-// refactorization. It is the only trigger on the branch-and-bound path
-// (SolveFrom). The one-shot Solve also refactorizes as soon as the eta
-// file holds more nonzeros than the factors, which on the layout models
-// fires long before 512 updates (see coldFull).
+// refactorization. On the layout models the eta-fill trigger (see
+// applyEta) fires long before 512 updates.
 const defaultRefactorEvery = 512
 
 var refactorEvery = defaultRefactorEvery
@@ -32,11 +32,10 @@ var refactorEvery = defaultRefactorEvery
 // SetRefactorInterval sets how many eta (product-form) updates may be
 // applied to the LU factors before the kernel forces a from-scratch
 // refactorization, returning the previous value. n ≤ 0 restores the
-// default. The interval caps both solve paths; the one-shot Solve's
-// eta-fill trigger stays on under any interval. Interval 1 refactorizes
-// after every pivot — the reference behaviour the numerical-drift
-// property tests compare the eta path against. Not safe to call while
-// any solve is in flight.
+// default. The eta-fill trigger stays on under any interval. Interval 1
+// refactorizes after every pivot — the reference behaviour the
+// numerical-drift property tests compare the eta path against. Not safe
+// to call while any solve is in flight.
 func SetRefactorInterval(n int) int {
 	prev := refactorEvery
 	if n <= 0 {
@@ -63,8 +62,8 @@ type Workspace struct {
 	m, nStru, n int
 
 	// cols is the column-sparse constraint matrix over the full tableau
-	// space (structurals, slacks, artificials); terms is the flat arena
-	// backing every cols[v] slice. Term.Var is the row index here.
+	// space (structurals, then one slack per row); terms is the flat
+	// arena backing every cols[v] slice. Term.Var is the row index here.
 	cols   [][]Term
 	terms  []Term
 	colOff []int
@@ -74,10 +73,18 @@ type Workspace struct {
 	lu  sparseLU
 	rho []float64
 
-	b, lo, hi, cost, x, c1 []float64
-	y, w, resid            []float64
-	basis                  []int
-	state                  []int8
+	b, lo, hi, cost, x []float64
+	y, w, resid        []float64
+	basis              []int
+	state              []int8
+
+	// The dual simplex's per-column state: repair holds the costs a cold
+	// start repairs with (see newTableau), d the reduced costs the dual
+	// keeps across its pivots, and rowIdx/rowVal the nonzeros of its
+	// current pivot row.
+	repair, d []float64
+	rowIdx    []int
+	rowVal    []float64
 
 	// Factorization cache: when basisValid, the LU factors + eta file
 	// match the basis recorded in cachedBasis over the current cols
@@ -160,7 +167,10 @@ func (ws *Workspace) prepare(p *Problem) {
 	ws.hi = growF(ws.hi, n)
 	ws.cost = growF(ws.cost, n)
 	ws.x = growF(ws.x, n)
-	ws.c1 = growF(ws.c1, n)
+	ws.repair = growF(ws.repair, n)
+	ws.d = growF(ws.d, n)
+	ws.rowIdx = growI(ws.rowIdx, n)
+	ws.rowVal = growF(ws.rowVal, n)
 	ws.basis = growI(ws.basis, m)
 	if !ws.basisValid {
 		// Content is only meaningful while the cache is valid; when it is,
@@ -172,20 +182,19 @@ func (ws *Workspace) prepare(p *Problem) {
 }
 
 // rebuildCols builds the column-sparse tableau matrix for p into the
-// term arena: structural columns gathered from the rows, one unit slack
-// column per row, one unit artificial column per row (cold solves flip
-// artificial signs in place per solve). Invalidates the factorization
-// cache — the factors are meaningless over a different matrix.
+// term arena: structural columns gathered from the rows, then one unit
+// slack column per row. Invalidates the factorization cache — the
+// factors are meaningless over a different matrix.
 func (ws *Workspace) rebuildCols(p *Problem) {
 	m := len(p.rows)
 	nStru := len(p.cost)
-	n := nStru + 2*m
+	n := nStru + m
 	ws.owner, ws.rev = p, p.rev
 	ws.m, ws.nStru, ws.n = m, nStru, n
 	ws.basisValid = false
 	ws.updatesSinceRefactor = refactorEvery // force a factorization before reuse
 
-	total := 2 * m
+	total := m
 	for _, r := range p.rows {
 		total += len(r.terms)
 	}
@@ -229,15 +238,10 @@ func (ws *Workspace) rebuildCols(p *Problem) {
 		ws.cols[v] = ws.terms[start:fill[v]:fill[v]]
 		start = fill[v]
 	}
-	base := start // == total - 2m
+	base := start // == total - m
 	for i := 0; i < m; i++ {
 		ws.terms[base+i] = Term{Var: i, Coef: 1}
 		ws.cols[nStru+i] = ws.terms[base+i : base+i+1 : base+i+1]
-	}
-	abase := base + m
-	for i := 0; i < m; i++ {
-		ws.terms[abase+i] = Term{Var: i, Coef: 1}
-		ws.cols[nStru+m+i] = ws.terms[abase+i : abase+i+1 : abase+i+1]
 	}
 }
 

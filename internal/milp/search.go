@@ -481,10 +481,10 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 	}
 	// Warm-start the relaxation from the parent's optimal basis: the
 	// child differs from the parent by one bound change, so a short dual
-	// repair replaces the full two-phase solve. A node without a basis
-	// (the root, or a child of a node whose basis was lost) in a model
-	// with integer variables is solved cold on the full tableau, so its
-	// children get a basis to warm-start from. A model without integer
+	// repair replaces a cold solve. A node without a basis (the root, or
+	// a child of a node whose basis was lost) in a model with integer
+	// variables is solved cold on the full tableau, so its children get a
+	// basis to warm-start from. A model without integer
 	// variables never branches and always goes through the presolving
 	// Solve, donor root basis or not: that is cheaper when the model
 	// reduces well, as the zero-binary large-scale layouts do.

@@ -30,14 +30,15 @@ type SearchStats struct {
 	// conservation identity TestSearchStatsConservation pins for both
 	// sequential and parallel runs).
 	LPSolves int64
-	// SimplexPivots is the total simplex iterations (phase 1 + 2) behind
-	// LPSolves — the solver's innermost unit of work.
+	// SimplexPivots is the total simplex iterations (dual repair and
+	// primal) behind LPSolves — the solver's innermost unit of work.
 	SimplexPivots int64
 	// WarmStarts counts LP solves that re-entered the simplex from the
-	// parent node's basis instead of a full two-phase cold start, and
-	// ColdSolves the rest (the root, rounding re-solves, and fallbacks):
-	// LPSolves = WarmStarts + ColdSolves is the warm-start conservation
-	// identity (pinned alongside the node identity by the stats tests).
+	// parent node's basis instead of a cold start from the all-slack
+	// basis, and ColdSolves the rest (the root, rounding re-solves, and
+	// fallbacks): LPSolves = WarmStarts + ColdSolves is the warm-start
+	// conservation identity (pinned alongside the node identity by the
+	// stats tests).
 	WarmStarts int64
 	ColdSolves int64
 	// WarmStartFallbacks counts warm attempts abandoned for a cold
@@ -48,10 +49,10 @@ type SearchStats struct {
 	// SimplexPivots = WarmPivots + ColdPivots.
 	WarmPivots int64
 	ColdPivots int64
-	// Phase1Rows accumulates, over every cold solve, the rows that
-	// started phase 1 on an artificial because the start point violated
-	// them — the repair work warm starts exist to skip. Rows that hold at
-	// the start begin on their slack and count zero, as do warm solves.
+	// Phase1Rows accumulates, over every cold solve, the rows the start
+	// point violated — the rows the cold start's dual simplex repairs,
+	// and the work warm starts exist to skip. Rows that hold at the start
+	// count zero, as do warm solves.
 	Phase1Rows int64
 	// EtaUpdates counts the product-form updates applied to the LU
 	// factors — one per basis-changing simplex pivot. EtaUpdates ≤

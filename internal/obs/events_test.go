@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -57,6 +58,42 @@ func TestObserveEventStream(t *testing.T) {
 	}
 	if layoutEnd.Span.Spans != nil {
 		t.Fatal("span-end snapshot must not carry child spans")
+	}
+}
+
+// TestSpanEndAllocsIgnoreChildren: the span-end event copies the ended
+// span's own counters and labels only, so ending a parent allocates the
+// same whether it holds no child or 16 children of 25 counters each.
+func TestSpanEndAllocsIgnoreChildren(t *testing.T) {
+	const runs = 50
+	endAllocs := func(children int) float64 {
+		tr := New("run")
+		var last Event
+		tr.Observe(func(ev Event) { last = ev })
+		parents := make([]*Span, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range parents {
+			parents[i] = tr.Phase("layout")
+			parents[i].SetInt("nodes", 7)
+			for c := 0; c < children; c++ {
+				ch := parents[i].Child(fmt.Sprintf("round %d", c))
+				for k := 0; k < 25; k++ {
+					ch.SetInt(fmt.Sprintf("counter%d", k), int64(k))
+				}
+				ch.End()
+			}
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			parents[next].End()
+			next++
+		})
+		if last.Kind != EventSpanEnd || last.Span == nil || last.Span.Counters["nodes"] != 7 || last.Span.Spans != nil {
+			t.Fatalf("%d children: last event %+v, want the parent's own end snapshot", children, last)
+		}
+		return allocs
+	}
+	if bare, wide := endAllocs(0), endAllocs(16); wide != bare {
+		t.Fatalf("End allocates %v times with 16 children, %v with none", wide, bare)
 	}
 }
 

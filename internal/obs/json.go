@@ -69,6 +69,16 @@ func (t *Trace) Snapshot() *TraceJSON {
 }
 
 func (s *Span) snapshotLocked() SpanJSON {
+	j := s.ownSnapshotLocked()
+	for _, c := range s.children {
+		j.Spans = append(j.Spans, c.snapshotLocked())
+	}
+	return j
+}
+
+// ownSnapshotLocked copies the span's own wall time, counters and
+// labels, without its children.
+func (s *Span) ownSnapshotLocked() SpanJSON {
 	wall := s.end.Sub(s.start)
 	if s.end.IsZero() {
 		wall = time.Since(s.start)
@@ -85,9 +95,6 @@ func (s *Span) snapshotLocked() SpanJSON {
 		for k, v := range s.labels {
 			j.Labels[k] = v
 		}
-	}
-	for _, c := range s.children {
-		j.Spans = append(j.Spans, c.snapshotLocked())
 	}
 	return j
 }

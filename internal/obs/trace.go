@@ -144,13 +144,11 @@ func (s *Span) End() {
 	obs := s.tr.observer
 	var snap SpanJSON
 	if sealed && obs != nil {
-		snap = s.snapshotLocked()
+		// The span's own data only: child spans emit their own events.
+		snap = s.ownSnapshotLocked()
 	}
 	s.tr.mu.Unlock()
 	if sealed && obs != nil {
-		// The snapshot is flattened to this span's own data: child spans
-		// emit their own events.
-		snap.Spans = nil
 		obs(Event{Kind: EventSpanEnd, Path: s.path, WallMS: snap.WallMS, Span: &snap})
 	}
 }
