@@ -108,7 +108,6 @@ func (p *Problem) GomoryCuts(isInt []bool, max int, minViol float64) []CutRow {
 // hi_j − x_j, or the slack's defining row) and returned in ≤ form.
 func (p *Problem) gomoryFromRow(t *tableau, i int, f0 float64, isInt, intSlack []bool, coef []float64, minViol float64) *CutRow {
 	nStru := t.nStru
-	binvRow := t.binvRow(i)
 	ratio := f0 / (1 - f0)
 	K := 0.0
 	rhsRelax := 0.0 // conservative rhs slack from folded-away tiny terms
@@ -117,17 +116,11 @@ func (p *Problem) gomoryFromRow(t *tableau, i int, f0 float64, isInt, intSlack [
 			coef[k] = 0
 		}
 	}()
-	for j := 0; j < t.n; j++ {
-		if t.state[j] == basic {
-			continue
-		}
-		if t.hi[j]-t.lo[j] < tol && !math.IsInf(t.hi[j], 1) {
-			continue // fixed column: t_j ≡ 0
-		}
-		a := 0.0
-		for _, tm := range t.cols[j] {
-			a += binvRow[tm.Var] * tm.Coef
-		}
+	// The tableau row over the nonbasic columns that can move (a fixed
+	// column has t_j ≡ 0), in ascending column order.
+	nz := t.pivotRow(i)
+	for k := 0; k < nz; k++ {
+		j, a := t.ws.rowIdx[k], t.ws.rowVal[k]
 		if math.Abs(a) < 1e-12 {
 			continue
 		}

@@ -20,7 +20,11 @@
 // pivots instead of re-pricing. The basis is held as sparse LU factors
 // with product-form (eta) updates, refactorized as soon as the eta file
 // holds more nonzeros than the factors and at the latest every 512
-// updates, and cached across warm-started solves. It is intended for
+// updates, and cached across warm-started solves. The solves of each
+// pivot are hypersparse: the entering column's FTRAN, the leaving row's
+// BTRAN and the pivot row, gathered row-wise, visit only what their
+// right-hand side reaches, and compute bit for bit what the dense loops
+// would. It is intended for
 // the model sizes Columba S produces (tens of rectangles, hundreds to a
 // few thousand rows), not for general-purpose large-scale LP.
 //

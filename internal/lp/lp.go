@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -908,28 +909,69 @@ func (t *tableau) reducedCosts(c []float64) {
 }
 
 // ftranColumn computes the direction w = B⁻¹·A_enter into the
-// workspace's w vector by one FTRAN against the factors.
+// workspace's w vector by one hypersparse FTRAN against the factors.
 func (t *tableau) ftranColumn(enter int) {
 	w := t.ws.w
-	for i := 0; i < t.m; i++ {
-		w[i] = 0
-	}
-	for _, tm := range t.cols[enter] {
+	clear(w)
+	col := t.cols[enter]
+	for _, tm := range col {
 		w[tm.Var] += tm.Coef
 	}
-	t.f.ftran(w)
+	t.f.ftranSparse(w, col)
 }
 
 // binvRow returns row r of B⁻¹ (the BTRAN of the r-th unit vector),
-// solved into the workspace's rho scratch.
-func (t *tableau) binvRow(r int) []float64 {
-	cb, rho := t.f.cw, t.ws.rho
-	for i := 0; i < t.m; i++ {
-		cb[i] = 0
+// solved into the workspace's rho scratch, and the rows where it is
+// nonzero in ascending order. rho is zero outside that pattern until the
+// next call, which clears it first.
+func (t *tableau) binvRow(r int) (rho []float64, pat []int32) {
+	ws := t.ws
+	for _, i := range ws.rhoPat {
+		ws.rho[i] = 0
 	}
-	cb[r] = 1
-	t.f.btran(cb, rho)
-	return rho
+	ws.rhoPat = t.f.btranUnit(r, ws.rho, ws.rhoPat[:0])
+	return ws.rho, ws.rhoPat
+}
+
+// pivotRow forms row r of the simplex tableau, α_r = (B⁻¹)_r·A, and
+// writes its nonzeros over the nonbasic columns that can move — the
+// columns the dual ratio test and Gomory separation read — into the
+// workspace's rowIdx/rowVal in ascending column order, returning their
+// count. It gathers the rows of ρ = (B⁻¹)_r's pattern in ascending row
+// order from the row-wise copy of A, plus one slack per row, into an
+// accumulator that is zero outside the columns a column bitset marks.
+// cols lists each column's rows in ascending order, so every α_rj sums
+// the terms of the column-wise dot product ρ·A_j in its order.
+func (t *tableau) pivotRow(r int) int {
+	ws := t.ws
+	rho, pat := t.binvRow(r)
+	acc, mark := ws.acc, ws.colMark
+	for _, i := range pat {
+		ri := rho[i]
+		for _, tm := range ws.rowTerms[ws.rowOff[i]:ws.rowOff[i+1]] {
+			acc[tm.Var] += ri * tm.Coef
+			setMark(mark, int32(tm.Var))
+		}
+		s := int32(t.nStru) + i
+		acc[s] = ri
+		setMark(mark, s)
+	}
+	nz := 0
+	for wi, word := range mark {
+		mark[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			j := wi<<6 | bits.TrailingZeros64(word)
+			a := acc[j]
+			acc[j] = 0
+			if a == 0 || t.state[j] == basic ||
+				t.hi[j]-t.lo[j] < tol && !math.IsInf(t.hi[j], 1) {
+				continue
+			}
+			ws.rowIdx[nz], ws.rowVal[nz] = j, a
+			nz++
+		}
+	}
+	return nz
 }
 
 // ErrBadModel reports structurally invalid model input.

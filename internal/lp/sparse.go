@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Sparse LU basis engine (see DESIGN.md, "Sparse kernel"). The basis
 // matrix B is factorized into P·B·Q = L·U by a left-looking
@@ -16,12 +19,19 @@ import "math"
 //
 // Between refactorizations, pivots append product-form eta columns to an
 // eta file instead of touching the factors, so B⁻¹ is represented as
-// E_k⁻¹…E_1⁻¹·(LU)⁻¹ and both FTRAN (w = B⁻¹a) and BTRAN (y = B⁻ᵀc)
-// stay O(nnz). A refactorization flushes the eta file once it holds more
-// nonzeros than the factors (etaNonzeros vs factorNonzeros), and at the
-// latest after refactorEvery updates. The cross-solve factorization
-// cache keeps the factors-plus-eta-file pair from one solve to the
-// next.
+// E_k⁻¹…E_1⁻¹·(LU)⁻¹. A refactorization flushes the eta file once it
+// holds more nonzeros than the factors (etaNonzeros vs factorNonzeros),
+// and at the latest after refactorEvery updates. The cross-solve
+// factorization cache keeps the factors-plus-eta-file pair from one
+// solve to the next.
+//
+// The two solves of every pivot are hypersparse: FTRAN of the entering
+// column (ftranSparse) and BTRAN of the leaving row's unit vector
+// (btranUnit) visit only the elimination steps their right-hand side
+// reaches through L and U, found by sweeping a step bitset in the order
+// the dense loops run, so every value they compute is bit for bit the
+// dense one. The dense ftran and btran stay for the full-vector solves
+// (basic values and simplex multipliers).
 //
 // Fill-in is not capped: a basis that wants a near-dense factorization
 // completes on the grow-only arenas, whose worst case, O(m²), is the
@@ -80,11 +90,36 @@ type sparseLU struct {
 	bkt    []int32 // counting-sort buckets
 	ord    []int32 // column elimination order
 	rowCnt []int32 // static row nonzero counts of B (Markowitz tie-break)
+
+	// Hypersparse solves. mark is the step bitset their sweeps propagate
+	// through, cleared by each solve that uses it. rowMark orders
+	// btranUnit's row pattern and is zero between calls, like cu,
+	// btranUnit's position-space input. stepOfPos maps a basis position
+	// to the step that eliminated it, and utPtr/utIdx and ltPtr/ltIdx are
+	// index-only transposes of U and L: for step t, the steps whose U
+	// column holds t, and those whose L column holds row pivRow[t].
+	// btranUnit builds them once per factorization (transposed).
+	mark       []uint64
+	rowMark    []uint64
+	cu         []float64
+	stepOfPos  []int32
+	utPtr      []int32
+	utIdx      []int32
+	ltPtr      []int32
+	ltIdx      []int32
+	transposed bool
 }
 
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func growU64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
 	}
 	return s[:n]
 }
@@ -115,10 +150,17 @@ func (f *sparseLU) ensure(m int) {
 	f.bkt = growI32(f.bkt, m+2)
 	f.ord = growI32(f.ord, m)
 	f.rowCnt = growI32(f.rowCnt, m)
-	// xw needs no clearing: a fresh allocation is zeroed by make, and
-	// every factorize pass restores zeros before returning (including the
-	// singular abort path), so the zero-outside-live-pattern
-	// invariant holds across ensure calls of any size.
+	f.mark = growU64(f.mark, (m+63)/64)
+	f.rowMark = growU64(f.rowMark, (m+63)/64)
+	f.cu = growF(f.cu, m)
+	f.stepOfPos = growI32(f.stepOfPos, m)
+	f.utPtr = growI32(f.utPtr, m+1)
+	f.ltPtr = growI32(f.ltPtr, m+1)
+	// xw, rowMark and cu need no clearing: a fresh allocation is zeroed
+	// by make, and every factorize pass (including the singular abort
+	// path) and every btranUnit call restores zeros before returning, so
+	// the zero-outside-live-pattern invariant holds across ensure calls of
+	// any size. mark is cleared by each solve that uses it.
 }
 
 // resetEtas empties the eta file (every refactorization starts clean).
@@ -135,6 +177,7 @@ func (f *sparseLU) resetEtas() {
 func (f *sparseLU) setIdentity(m int) {
 	f.ensure(m)
 	f.resetEtas()
+	f.transposed = false
 	f.lIdx = f.lIdx[:0]
 	f.lVal = f.lVal[:0]
 	f.uIdx = f.uIdx[:0]
@@ -158,6 +201,7 @@ func (f *sparseLU) setIdentity(m int) {
 func (f *sparseLU) factorize(basis []int, cols [][]Term, m int) (ok bool, bNnz, fill int) {
 	f.ensure(m)
 	f.resetEtas()
+	f.transposed = false
 	f.lIdx = f.lIdx[:0]
 	f.lVal = f.lVal[:0]
 	f.uIdx = f.uIdx[:0]
@@ -402,6 +446,218 @@ func (f *sparseLU) btran(c, y []float64) {
 		}
 		y[f.pivRow[k]] = s
 	}
+}
+
+// setMark sets bit k of a bitset.
+func setMark(mark []uint64, k int32) { mark[k>>6] |= 1 << (k & 63) }
+
+// ftranSparse is ftran for a z that is zero outside the rows of col: it
+// visits only the elimination steps the right-hand side reaches. Each L
+// target is pivoted at a later step and each U target at an earlier one,
+// so an ascending sweep over L and a descending sweep over U, setting
+// the bit of every step a value propagates to, meet each step after all
+// of its updates, which arrive in the dense loops' order. The result is
+// ftran's bit for bit, up to the sign of zeros.
+func (f *sparseLU) ftranSparse(z []float64, col []Term) {
+	mark, pivRow, posOfRow := f.mark, f.pivRow, f.posOfRow
+	lPtr, lIdx, lVal := f.lPtr, f.lIdx, f.lVal
+	uPtr, uIdx, uVal, uDiag := f.uPtr, f.uIdx, f.uVal, f.uDiag
+	clear(mark)
+	for _, tm := range col {
+		setMark(mark, posOfRow[tm.Var])
+	}
+	for wi := range mark {
+		for word := mark[wi]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			k := wi<<6 | b
+			if zk := z[pivRow[k]]; zk != 0 {
+				for e := lPtr[k]; e < lPtr[k+1]; e++ {
+					i := lIdx[e]
+					z[i] -= lVal[e] * zk
+					setMark(mark, posOfRow[i])
+				}
+			}
+			word = mark[wi] & (^uint64(0) << b << 1)
+		}
+	}
+	v, steps := f.vw, f.pat[:0]
+	for wi := len(mark) - 1; wi >= 0; wi-- {
+		for word := mark[wi]; word != 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			k := wi<<6 | b
+			xk := z[pivRow[k]] / uDiag[k]
+			v[k] = xk
+			steps = append(steps, int32(k))
+			if xk != 0 {
+				for e := uPtr[k]; e < uPtr[k+1]; e++ {
+					t := uIdx[e]
+					z[pivRow[t]] -= uVal[e] * xk
+					setMark(mark, t)
+				}
+			}
+			word = mark[wi] & (1<<b - 1)
+		}
+	}
+	// z is zero outside the rows of the visited steps: clear those, then
+	// write the solution into the steps' basis positions.
+	for _, k := range steps {
+		z[pivRow[k]] = 0
+	}
+	for _, k := range steps {
+		z[f.pivCol[k]] = v[k]
+	}
+	for e := 0; e < len(f.etaPos); e++ {
+		r := f.etaPos[e]
+		zr := z[r]
+		if zr == 0 {
+			continue
+		}
+		pr := zr / f.etaDiag[e]
+		z[r] = pr
+		for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
+			z[f.etaIdx[q]] -= f.etaVal[q] * pr
+		}
+	}
+}
+
+// btranUnit is btran of the r-th unit vector: it solves y = e_r·B⁻¹, the
+// r-th row of B⁻¹, into y, which must be zero on entry, and appends the
+// rows where y is nonzero to pat in ascending order. y is exactly zero
+// everywhere else. The eta pass runs as in btran; the sweeps over Uᵀ
+// (ascending) and Lᵀ (descending) then visit only the steps the eta
+// pass's output reaches through the transposes, and each visited step
+// sums all of its stored U or L terms in stored order, as btran does,
+// so the result is btran's bit for bit, up to the sign of zeros.
+func (f *sparseLU) btranUnit(r int, y []float64, pat []int32) []int32 {
+	if !f.transposed {
+		f.buildTransposes()
+	}
+	c, mark, pivRow, pivCol := f.cu, f.mark, f.pivRow, f.pivCol
+	c[r] = 1
+	for e := len(f.etaPos) - 1; e >= 0; e-- {
+		p := f.etaPos[e]
+		s := c[p]
+		for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
+			s -= f.etaVal[q] * c[f.etaIdx[q]]
+		}
+		c[p] = s / f.etaDiag[e]
+	}
+	// c is zero outside r and the eta pivots.
+	clear(mark)
+	setMark(mark, f.stepOfPos[r])
+	for _, p := range f.etaPos {
+		if c[p] != 0 {
+			setMark(mark, f.stepOfPos[p])
+		}
+	}
+	uPtr, uIdx, uVal, uDiag := f.uPtr, f.uIdx, f.uVal, f.uDiag
+	utPtr, utIdx := f.utPtr, f.utIdx
+	for wi := range mark {
+		for word := mark[wi]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			k := wi<<6 | b
+			s := c[pivCol[k]]
+			for e := uPtr[k]; e < uPtr[k+1]; e++ {
+				s -= uVal[e] * y[pivRow[uIdx[e]]]
+			}
+			yk := s / uDiag[k]
+			y[pivRow[k]] = yk
+			if yk != 0 {
+				for _, t := range utIdx[utPtr[k]:utPtr[k+1]] {
+					setMark(mark, t)
+				}
+			}
+			word = mark[wi] & (^uint64(0) << b << 1)
+		}
+	}
+	c[r] = 0
+	for _, p := range f.etaPos {
+		c[p] = 0
+	}
+	lPtr, lIdx, lVal := f.lPtr, f.lIdx, f.lVal
+	ltPtr, ltIdx, rowMark := f.ltPtr, f.ltIdx, f.rowMark
+	for wi := len(mark) - 1; wi >= 0; wi-- {
+		for word := mark[wi]; word != 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			k := wi<<6 | b
+			i := pivRow[k]
+			if lo, hi := lPtr[k], lPtr[k+1]; lo < hi {
+				s := y[i]
+				for e := lo; e < hi; e++ {
+					s -= lVal[e] * y[lIdx[e]]
+				}
+				y[i] = s
+			}
+			if y[i] != 0 {
+				setMark(rowMark, i)
+				for _, t := range ltIdx[ltPtr[k]:ltPtr[k+1]] {
+					setMark(mark, t)
+				}
+			} else {
+				y[i] = 0 // no −0 left outside the pattern
+			}
+			word = mark[wi] & (1<<b - 1)
+		}
+	}
+	for wi, word := range rowMark {
+		rowMark[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			pat = append(pat, int32(wi<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return pat
+}
+
+// buildTransposes fills stepOfPos and the index-only transposes of U and
+// L that btranUnit propagates through, for the current factors: U's
+// columns hold steps, L's hold rows, which posOfRow maps to steps.
+func (f *sparseLU) buildTransposes() {
+	m := f.m
+	for k := 0; k < m; k++ {
+		f.stepOfPos[f.pivCol[k]] = int32(k)
+	}
+	f.utIdx = growI32(f.utIdx, len(f.uIdx))
+	clear(f.utPtr)
+	for _, t := range f.uIdx {
+		f.utPtr[t+1]++
+	}
+	prefixSum(f.utPtr)
+	for k := 0; k < m; k++ {
+		for e := f.uPtr[k]; e < f.uPtr[k+1]; e++ {
+			t := f.uIdx[e]
+			f.utIdx[f.utPtr[t]] = int32(k)
+			f.utPtr[t]++
+		}
+	}
+	shiftStarts(f.utPtr)
+	f.ltIdx = growI32(f.ltIdx, len(f.lIdx))
+	clear(f.ltPtr)
+	for _, i := range f.lIdx {
+		f.ltPtr[f.posOfRow[i]+1]++
+	}
+	prefixSum(f.ltPtr)
+	for k := 0; k < m; k++ {
+		for e := f.lPtr[k]; e < f.lPtr[k+1]; e++ {
+			t := f.posOfRow[f.lIdx[e]]
+			f.ltIdx[f.ltPtr[t]] = int32(k)
+			f.ltPtr[t]++
+		}
+	}
+	shiftStarts(f.ltPtr)
+	f.transposed = true
+}
+
+func prefixSum(ptr []int32) {
+	for t := 1; t < len(ptr); t++ {
+		ptr[t] += ptr[t-1]
+	}
+}
+
+// shiftStarts restores the start offsets of a transpose after the fill
+// ran ptr[t] forward as step t's cursor, to where step t+1 starts.
+func shiftStarts(ptr []int32) {
+	copy(ptr[1:], ptr[:len(ptr)-1])
+	ptr[0] = 0
 }
 
 // appendEta records the pivot that replaced basis position r with the

@@ -12,8 +12,8 @@ import (
 // SolveFromReuse never recycles one.
 type Basis struct {
 	m, nStru int
-	rows     []int  // rows[i] = variable basic in row i
-	state    []int8 // per-column nonbasic position (atLo / atUp / basic)
+	rows     []int32 // rows[i] = variable basic in row i
+	state    []int8  // per-column nonbasic position (atLo / atUp / basic)
 }
 
 // compatible reports whether the snapshot can seed a solve of p: same row
@@ -33,10 +33,14 @@ func (t *tableau) snapshot() *Basis {
 	if !t.basisDirty && t.installed != nil {
 		return t.installed
 	}
+	rows := make([]int32, t.m)
+	for i, v := range t.basis {
+		rows[i] = int32(v)
+	}
 	return &Basis{
 		m:     t.m,
 		nStru: t.nStru,
-		rows:  append([]int(nil), t.basis...),
+		rows:  rows,
 		state: append([]int8(nil), t.state...),
 	}
 }
@@ -233,10 +237,12 @@ func (p *Problem) warmResultOK(x []float64) bool {
 // the solve is tallied as a workspace reuse. Returns false when the
 // basis matrix is numerically singular.
 func (t *tableau) installBasis(b *Basis) bool {
-	copy(t.basis, b.rows)
+	for i, v := range b.rows {
+		t.basis[i] = int(v)
+	}
 	copy(t.state, b.state)
 	t.installed = b
-	if t.ws.basisValid && intsEqual(t.ws.cachedBasis, b.rows) {
+	if t.ws.basisValid && intsEqual(t.ws.cachedBasis, t.basis) {
 		t.reusedInv = true
 		return true
 	}
@@ -349,28 +355,14 @@ func (t *tableau) dualSimplex(c []float64) Status {
 			t.reducedCosts(c)
 			priced = true
 		}
-		// Pivot row α_r = (B⁻¹)_r·A over the columns that can enter; its
-		// nonzeros are kept for the reduced-cost update.
-		rho := t.binvRow(r)
+		// Pivot row α_r = (B⁻¹)_r·A over the columns that can enter, in
+		// ascending column order; its nonzeros are kept for the
+		// reduced-cost update.
+		nz := t.pivotRow(r)
 		enter, bestRatio, alphaQ := -1, Inf, 0.0
 		bland := degen >= stall || t.forceBland
-		nz := 0
-		for v := 0; v < t.n; v++ {
-			if t.state[v] == basic {
-				continue
-			}
-			if t.hi[v]-t.lo[v] < tol && !math.IsInf(t.hi[v], 1) {
-				continue // fixed column can never enter
-			}
-			alpha := 0.0
-			for _, tm := range t.cols[v] {
-				alpha += rho[tm.Var] * tm.Coef
-			}
-			if alpha == 0 {
-				continue
-			}
-			rowIdx[nz], rowVal[nz] = v, alpha
-			nz++
+		for k := 0; k < nz; k++ {
+			v, alpha := rowIdx[k], rowVal[k]
 			ab := e * alpha
 			free := math.IsInf(t.lo[v], -1) && math.IsInf(t.hi[v], 1)
 			var ok bool
@@ -386,7 +378,7 @@ func (t *tableau) dualSimplex(c []float64) Status {
 				continue
 			}
 			// Under Bland's rule the first admissible column enters
-			// (anti-cycling); the pass still completes the pivot row.
+			// (anti-cycling).
 			ratio := math.Abs(d[v]) / math.Abs(ab)
 			if enter < 0 || !bland && ratio < bestRatio-tol {
 				enter, bestRatio, alphaQ = v, ratio, alpha

@@ -67,11 +67,18 @@ type Workspace struct {
 	cols   [][]Term
 	terms  []Term
 	colOff []int
+	// rowTerms is the row-wise copy of A's structural part, row i at
+	// rowTerms[rowOff[i]:rowOff[i+1]] with Term.Var the column: pivotRow
+	// gathers the pivot row from it.
+	rowTerms []Term
+	rowOff   []int32
 
 	// lu holds the basis factors, eta file and scratch; rho is the
-	// BTRAN-unit output buffer binvRow solves into.
-	lu  sparseLU
-	rho []float64
+	// BTRAN-unit output buffer binvRow solves into, zero outside the rows
+	// in rhoPat.
+	lu     sparseLU
+	rho    []float64
+	rhoPat []int32
 
 	b, lo, hi, cost, x []float64
 	y, w, resid        []float64
@@ -81,10 +88,13 @@ type Workspace struct {
 	// The dual simplex's per-column state: repair holds the costs a cold
 	// start repairs with (see newTableau), d the reduced costs the dual
 	// keeps across its pivots, and rowIdx/rowVal the nonzeros of its
-	// current pivot row.
+	// current pivot row. pivotRow accumulates that row in acc, zero
+	// outside the columns colMark marks; both are zero between calls.
 	repair, d []float64
 	rowIdx    []int
 	rowVal    []float64
+	acc       []float64
+	colMark   []uint64
 
 	// Factorization cache: when basisValid, the LU factors + eta file
 	// match the basis recorded in cachedBasis over the current cols
@@ -158,6 +168,12 @@ func (ws *Workspace) prepare(p *Problem) {
 	}
 	m, n := ws.m, ws.n
 	ws.lu.ensure(m)
+	// rho is zero outside its pattern, which must be cleared while the
+	// pattern's rows still index it: growF may reslice it to another m.
+	for _, i := range ws.rhoPat {
+		ws.rho[i] = 0
+	}
+	ws.rhoPat = growI32(ws.rhoPat, m)[:0]
 	ws.rho = growF(ws.rho, m)
 	ws.b = growF(ws.b, m)
 	ws.y = growF(ws.y, m)
@@ -171,6 +187,8 @@ func (ws *Workspace) prepare(p *Problem) {
 	ws.d = growF(ws.d, n)
 	ws.rowIdx = growI(ws.rowIdx, n)
 	ws.rowVal = growF(ws.rowVal, n)
+	ws.acc = growF(ws.acc, n)
+	ws.colMark = growU64(ws.colMark, (n+63)/64)
 	ws.basis = growI(ws.basis, m)
 	if !ws.basisValid {
 		// Content is only meaningful while the cache is valid; when it is,
@@ -183,8 +201,9 @@ func (ws *Workspace) prepare(p *Problem) {
 
 // rebuildCols builds the column-sparse tableau matrix for p into the
 // term arena: structural columns gathered from the rows, then one unit
-// slack column per row. Invalidates the factorization cache — the
-// factors are meaningless over a different matrix.
+// slack column per row; and next to it the row-wise copy of the
+// structural part. Invalidates the factorization cache — the factors
+// are meaningless over a different matrix.
 func (ws *Workspace) rebuildCols(p *Problem) {
 	m := len(p.rows)
 	nStru := len(p.cost)
@@ -242,6 +261,17 @@ func (ws *Workspace) rebuildCols(p *Problem) {
 	for i := 0; i < m; i++ {
 		ws.terms[base+i] = Term{Var: i, Coef: 1}
 		ws.cols[nStru+i] = ws.terms[base+i : base+i+1 : base+i+1]
+	}
+
+	if cap(ws.rowTerms) < base {
+		ws.rowTerms = make([]Term, 0, base)
+	}
+	ws.rowTerms = ws.rowTerms[:0]
+	ws.rowOff = growI32(ws.rowOff, m+1)
+	ws.rowOff[0] = 0
+	for i, r := range p.rows {
+		ws.rowTerms = append(ws.rowTerms, r.terms...)
+		ws.rowOff[i+1] = int32(len(ws.rowTerms))
 	}
 }
 

@@ -345,6 +345,7 @@ type node struct {
 	// immutable snapshot shared by all siblings, so it travels safely
 	// across worker handoffs: whichever worker pops this node warm-starts
 	// its relaxation from the parent basis on its own Problem clone.
+	// expand clears it once that solve has read it.
 	basis *lp.Basis
 }
 

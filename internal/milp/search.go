@@ -502,6 +502,10 @@ func (s *search) expand(id, idx int, n *node, prob *lp.Problem) bool {
 	} else {
 		sol, err = prob.SolveFromReuse(n.basis, reuse)
 	}
+	// Nothing reads the parent's snapshot again, but the node stays
+	// reachable through its children's parent pointers: drop it so the
+	// tree holds one snapshot per frontier generation, not one per node.
+	n.basis = nil
 	if err != nil {
 		s.done(id, func() {
 			if s.err == nil {

@@ -335,3 +335,45 @@ func TestWorkerUtilization(t *testing.T) {
 		t.Fatalf("utilization must clamp to 1, got %v", u)
 	}
 }
+
+// TestExpandDropsParentBasis pins the search tree's memory rule: once a
+// node's relaxation has been solved from its parent's snapshot, the node
+// lets go of it, while the children it pushes all share one new
+// snapshot. A node stays reachable through its children's parent
+// pointers, so a kept snapshot would live as long as its subtree.
+func TestExpandDropsParentBasis(t *testing.T) {
+	s := newSearch(hardKnapsack(14), Options{Workers: 1, NoCuts: true})
+	s.prepareRoot()
+	prob := s.baseProb.Clone()
+	prob.SetWorkspace(lp.NewWorkspace())
+	branched := 0
+	for i := 0; i < 40; i++ {
+		n, idx, ok := s.next(0)
+		if !ok {
+			break
+		}
+		before := len(s.frontier)
+		s.expand(0, idx, n, prob)
+		if n.basis != nil {
+			t.Fatalf("node %d kept its parent's snapshot after its solve", idx)
+		}
+		var shared *lp.Basis
+		for _, ch := range s.frontier {
+			if ch.parent != n {
+				continue
+			}
+			if ch.basis == nil || shared != nil && ch.basis != shared {
+				t.Fatalf("node %d: children do not share one snapshot", idx)
+			}
+			shared = ch.basis
+		}
+		if shared != nil {
+			branched++
+		} else if len(s.frontier) > before {
+			t.Fatalf("node %d pushed children without its snapshot", idx)
+		}
+	}
+	if branched < 2 {
+		t.Fatalf("only %d expansions branched", branched)
+	}
+}
